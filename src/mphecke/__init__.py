@@ -8,9 +8,6 @@ from .laurent import (
     NotDivisible,
     QLaurent,
     RationalFunction,
-    exact_div,
-    ga_mul,
-    qlp_arith,
     rf_normalize,
 )
 from .rootdata import (
@@ -22,7 +19,6 @@ from .rootdata import (
     build_O_datum,
     classical_datum,
     coroot_in_2Lambda,
-    datum_from_json,
     reduced_word,
     weyl_enumerate,
     weyl_length,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hecke import HeckeParams, HeckePresentation
-from .rootdata import WeylElement, build_O_datum, group_closure
+from .rootdata import Component, WeylElement, build_O_datum, group_closure, parse_label
 
 AMBIENTS = ("Mp", "Sp", "SO_odd", "SO_even", "O_even", "U", "GL")
 
@@ -104,23 +104,8 @@ class ClassifiedComponent:
     slots: tuple[int, ...]
 
     def weyl_order(self) -> int:
-        return _label_weyl_order(self.label)
-
-
-def _label_weyl_order(label: str) -> int:
-    if label == "empty":
-        return 1
-    letter, k = label[0], int(label[1:])
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
-    if letter == "A":
-        return f * (k + 1) if k else 1
-    if letter in ("B", "C"):
-        return 2 ** k * f
-    if letter == "D":
-        return 2 ** (k - 1) * f if k >= 1 else 1
-    raise ValueError(label)
+        letter, k = parse_label(self.label)
+        return Component(letter, k, 1, self.slots).weyl_order()
 
 
 @dataclass(frozen=True)

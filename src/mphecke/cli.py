@@ -72,7 +72,7 @@ def emit(payload, args) -> None:
 
 def _json_default(x):
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return hecke_mod.frac_to_json(x)
     raise TypeError(f"not JSON serialisable: {x!r}")
 
 

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 
 from .laurent import GroupAlgebraElement, QLaurent
 from .rootdata import (
+    WEYL_ENUM_GUARD,
     BasedRootDatum,
     WeylElement,
     coroot_in_2Lambda,
@@ -42,13 +43,19 @@ class InvalidParameters(ValueError):
     """Parameter table violates a structural constraint of the datum."""
 
 
+def _simple_component(d: BasedRootDatum, i: int) -> int | None:
+    """Index of the component whose slots hold simple root i (None if none does)."""
+    root = d.simple_pairs()[i][0]
+    return next((ci for ci, c in enumerate(d.components)
+                 if any(root[s] != 0 for s in c.slots)), None)
+
+
 def _simple_conjugacy_classes(datum: BasedRootDatum) -> list[list[int]]:
     """Simple-root indices grouped by Weyl conjugacy (per component and length)."""
     classes: dict[tuple, list[int]] = {}
     for i in range(datum.num_simples()):
         root, _ = datum.simple_pairs()[i]
-        comp = next((ci for ci, c in enumerate(datum.components)
-                     if any(root[s] != 0 for s in c.slots)), None)
+        comp = _simple_component(datum, i)
         length = pair(root, root)
         comp_obj = datum.components[comp] if comp is not None else None
         if comp_obj is not None and comp_obj.letter == "D" and comp_obj.k == 2:
@@ -104,15 +111,8 @@ class HeckeParams:
     def _special_roots(self) -> dict[int, int]:
         """component index -> simple index of its 2Lambda^ special root."""
         d = self.datum
-        out = {}
-        for i in range(d.num_simples()):
-            _, coroot = d.simple_pairs()[i]
-            if coroot_in_2Lambda(coroot, d):
-                root = d.simple_pairs()[i][0]
-                ci = next(cj for cj, c in enumerate(d.components)
-                          if any(root[s] != 0 for s in c.slots))
-                out[ci] = i
-        return out
+        return {_simple_component(d, i): i for i in range(d.num_simples())
+                if self.special_simple(i)}
 
     def q_alpha(self, i: int) -> QLaurent:
         return QLaurent.q_power(self.alpha_exp[i])
@@ -122,10 +122,7 @@ class HeckeParams:
         return coroot_in_2Lambda(coroot, self.datum)
 
     def qi_for_simple(self, i: int) -> Fraction:
-        root = self.datum.simple_pairs()[i][0]
-        ci = next(cj for cj, c in enumerate(self.datum.components)
-                  if any(root[s] != 0 for s in c.slots))
-        return Fraction(self.qi_exp[ci])
+        return Fraction(self.qi_exp[_simple_component(self.datum, i)])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +329,7 @@ def commute_zu(lam: Sequence[int], i: int, d: BasedRootDatum, p: HeckeParams) ->
 def is_central(x: HeckeElement) -> bool:
     """Whether x commutes with every U_{s_i} and every Z_{e_j} generator."""
     d, p = x.datum, x.params
-    if d.weyl_order() > 10_000:
+    if d.weyl_order() > WEYL_ENUM_GUARD:
         raise ValueError("Weyl group exceeds the enumeration guard")
     for i in range(d.num_simples()):
         u = HeckeElement.u_simple(d, p, i)
@@ -537,7 +534,7 @@ def sqint_check(exponents: Sequence[ExponentChar], central: Sequence[Sequence[in
 # Presentation records and JSON
 # ---------------------------------------------------------------------------
 
-def _frac_json(x: Fraction):
+def frac_to_json(x: Fraction):
     x = Fraction(x)
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -570,8 +567,8 @@ class HeckePresentation:
             "schema": "v1",
             "datum": self.datum.to_json(),
             "params": {
-                "alpha_exponents": [_frac_json(a) for a in self.alpha_exponents],
-                "special": [[ci, _frac_json(b)] for ci, b in self.qi_exponents],
+                "alpha_exponents": [frac_to_json(a) for a in self.alpha_exponents],
+                "special": [[ci, frac_to_json(b)] for ci, b in self.qi_exponents],
             },
             "extended": {
                 "r_group": [{"perm": list(r.perm), "signs": list(r.signs)}

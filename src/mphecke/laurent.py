@@ -13,8 +13,9 @@ Three layers:
 * :class:`QLaurent` -- Laurent polynomials in ``u`` over the rationals.
 * :class:`GroupAlgebraElement` -- the group algebra of a lattice ``Z^rank``
   with :class:`QLaurent` coefficients; monomials are written ``Z_lam``.
-* :class:`RationalFunction` -- quotients of group-algebra elements with a
-  deterministic canonical form, so equality is decidable.
+* :class:`RationalFunction` -- quotients of rank-1 group-algebra elements
+  (rational functions in one variable ``X``) with a deterministic
+  canonical form, so equality is decidable.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -305,6 +306,17 @@ def _int_polygcd(a: list[int], b: list[int]) -> list[int]:
     return primitive(a)
 
 
+def _content(coeffs: Iterable[QLaurent]) -> QLaurent:
+    """Monic gcd of the nonzero coefficients (zero if there are none)."""
+    g = QLaurent.zero()
+    for c in coeffs:
+        if not c.is_zero():
+            g = QLaurent.gcd(g, c)
+            if g.is_one():
+                break
+    return g
+
+
 # ---------------------------------------------------------------------------
 # Fractions of QLaurent (the field Q(u)); internal helper for canonical forms
 # ---------------------------------------------------------------------------
@@ -569,12 +581,7 @@ class GroupAlgebraElement:
 
     def content(self) -> QLaurent:
         """Monic gcd of all coefficients (zero for the zero element)."""
-        g = QLaurent.zero()
-        for _, c in self._t.items():
-            g = QLaurent.gcd(g, c)
-            if g.is_one():
-                break
-        return g
+        return _content(self._t.values())
 
     # -- serialization ------------------------------------------------------
 
@@ -595,49 +602,48 @@ class GroupAlgebraElement:
 # Rational functions with canonical forms
 # ---------------------------------------------------------------------------
 
-class RationalFunction:
-    """A quotient num/den of group-algebra elements.
+def _check_rank1(*xs: GroupAlgebraElement):
+    if any(x.rank != 1 for x in xs):
+        raise ValueError("rational functions are rank 1 only")
 
-    The canonical form is produced by :func:`rf_normalize`: for rank-1
-    elements the full gcd over Q(u) is divided out; in higher rank the
-    normalisation removes exact divisors, monomial units and coefficient
-    content.  Equality of rational functions is decided by
-    cross-multiplication, independently of the form.
+
+class RationalFunction:
+    """A quotient num/den of rank-1 group-algebra elements, i.e. a rational
+    function in one variable ``X`` over Q(u).
+
+    Every value is in the canonical form produced by :func:`rf_normalize`
+    (build values with it or with :meth:`from_ga`; the constructor keeps
+    the pair it is given).  Equality is decided by cross-multiplication,
+    independently of the form.
     """
 
-    __slots__ = ("num", "den", "canonical")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: GroupAlgebraElement, den: GroupAlgebraElement, canonical: bool = False):
-        if num.rank != den.rank:
-            raise ValueError("rank mismatch in rational function")
+    def __init__(self, num: GroupAlgebraElement, den: GroupAlgebraElement):
+        _check_rank1(num, den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "canonical", canonical)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
 
-    @property
-    def rank(self) -> int:
-        return self.num.rank
-
     @classmethod
     def from_ga(cls, num: GroupAlgebraElement) -> "RationalFunction":
-        return rf_normalize(num, GroupAlgebraElement.one(num.rank))
+        return rf_normalize(num, GroupAlgebraElement.one(1))
 
     @classmethod
-    def zero(cls, rank: int) -> "RationalFunction":
-        return cls(GroupAlgebraElement.zero(rank), GroupAlgebraElement.one(rank), True)
+    def zero(cls) -> "RationalFunction":
+        return cls(GroupAlgebraElement.zero(1), GroupAlgebraElement.one(1))
 
     @classmethod
-    def one(cls, rank: int) -> "RationalFunction":
-        return cls(GroupAlgebraElement.one(rank), GroupAlgebraElement.one(rank), True)
+    def one(cls) -> "RationalFunction":
+        return cls(GroupAlgebraElement.one(1), GroupAlgebraElement.one(1))
 
     @classmethod
-    def const(cls, rank: int, c: QLaurent) -> "RationalFunction":
-        return rf_normalize(GroupAlgebraElement.const(rank, c), GroupAlgebraElement.one(rank))
+    def const(cls, c: QLaurent) -> "RationalFunction":
+        return rf_normalize(GroupAlgebraElement.const(1, c), GroupAlgebraElement.one(1))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -649,7 +655,7 @@ class RationalFunction:
         return self + (-o)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, self.canonical)
+        return RationalFunction(-self.num, self.den)
 
     def __mul__(self, o: "RationalFunction") -> "RationalFunction":
         return rf_normalize(self.num * o.num, self.den * o.den)
@@ -668,7 +674,7 @@ class RationalFunction:
         return rf_normalize(self.num.scale(c), self.den)
 
     def bar(self) -> "RationalFunction":
-        """Invert every lattice monomial (for rank 1: X -> X^-1)."""
+        """Substitute X -> X^-1."""
         return rf_normalize(self.num.bar(), self.den.bar())
 
     def __eq__(self, o) -> bool:
@@ -677,77 +683,40 @@ class RationalFunction:
         return (self.num * o.den) == (o.num * self.den)
 
     def __hash__(self):
-        # canonical forms are complete only in rank <= 1; higher ranks fall
-        # back to a constant hash so hashing stays consistent with ==
-        if self.rank > 1:
-            return hash(("RationalFunction", self.rank))
-        c = self if self.canonical else rf_normalize(self.num, self.den)
-        return hash((c.num, c.den))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"({self.num!r})/({self.den!r})"
 
-    # rank-1 evaluation helpers used by the rank-one intertwining model
+    # evaluation helpers used by the rank-one intertwining model
 
     def eval1(self, point: QLaurent) -> QLFrac:
-        """Value at Z = point (a unit of Q[u,u^-1]); pole raises ZeroDivisionError."""
+        """Value at X = point (a unit of Q[u,u^-1]); pole raises ZeroDivisionError."""
         den = self.den.eval1(point)
         if den.is_zero():
             raise ZeroDivisionError(f"pole at {point}")
         return QLFrac(self.num.eval1(point), den)
 
     def residue1(self, point: QLaurent) -> QLFrac:
-        """Residue at Z = point for a pole of order <= 1 (0 if regular).
+        """Residue at X = point for a pole of order <= 1 (0 if regular).
 
-        Requires a canonical rank-1 value so numerator and denominator
-        share no factor; a higher-order pole raises ValueError.
+        The canonical form shares no factor between numerator and
+        denominator; a higher-order pole raises ValueError.
         """
-        rf = self if self.canonical else rf_normalize(self.num, self.den)
-        dval = rf.den.eval1(point)
+        dval = self.den.eval1(point)
         if not dval.is_zero():
             return QLFrac.zero()
-        val, coeffs = rf.den.dense1()
+        val, coeffs = self.den.dense1()
         deriv = GroupAlgebraElement.from_dense1(
             val - 1, [c.scale(val + i) for i, c in enumerate(coeffs)])
         dprime = deriv.eval1(point)
         if dprime.is_zero():
             raise ValueError("pole of order >= 2")
-        return QLFrac(rf.num.eval1(point), dprime)
-
-
-def qlp_arith(a: QLaurent, b: QLaurent, op: str) -> QLaurent:
-    """Functional face of the QLaurent ring operations: op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def ga_mul(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Convolution product in the lattice group algebra."""
-    return x * y
-
-
-def exact_div(num: GroupAlgebraElement, den: GroupAlgebraElement) -> GroupAlgebraElement:
-    """The exact quotient num/den; raises :class:`NotDivisible` if none exists."""
-    return num.exact_div(den)
-
-
-def _xpoly_content(p: Sequence[QLaurent]) -> QLaurent:
-    g = QLaurent.zero()
-    for c in p:
-        if not c.is_zero():
-            g = QLaurent.gcd(g, c)
-            if g.is_one():
-                break
-    return g
+        return QLFrac(self.num.eval1(point), dprime)
 
 
 def _xpoly_primitive(p: list[QLaurent]) -> list[QLaurent]:
-    g = _xpoly_content(p)
+    g = _content(p)
     if g.is_zero() or g.is_one():
         return p
     return [c if c.is_zero() else c.exact_div(g) for c in p]
@@ -784,48 +753,33 @@ def _xgcd_primitive(a: list[QLaurent], b: list[QLaurent]) -> list[QLaurent]:
 
 
 def rf_normalize(num: GroupAlgebraElement, den: GroupAlgebraElement) -> RationalFunction:
-    """Canonical form of num/den.
+    """Canonical form of num/den for rank-1 elements.
 
-    Rank 1: divide out the full polynomial gcd (primitive pseudo-remainder
+    Divide out the full polynomial gcd (primitive pseudo-remainder
     sequence over Q[u,u^-1]), remove joint content, and normalise so the
     denominator has lattice valuation 0 and a monic leading coefficient.
-    Higher rank: the same unit/content normalisation plus exact-divisor
-    removal (the divisions the artifact performs there are exact, so this
-    suffices).
+    Elements of any other rank raise ValueError.
     """
+    _check_rank1(num, den)
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    rank = num.rank
     if num.is_zero():
-        return RationalFunction(GroupAlgebraElement.zero(rank), GroupAlgebraElement.one(rank), True)
+        return RationalFunction.zero()
 
-    if rank == 1:
-        nval, ncs = num.dense1()
-        dval, dcs = den.dense1()
-        g = _xgcd_primitive(ncs, dcs)
-        if len(g) > 1:
-            g_ga = GroupAlgebraElement.from_dense1(0, g)
-            num = num.exact_div(g_ga)
-            den = den.exact_div(g_ga)
-    else:
-        try:
-            q = num.exact_div(den)
-            num, den = q, GroupAlgebraElement.one(rank)
-        except NotDivisible:
-            try:
-                q = den.exact_div(num)
-                num, den = GroupAlgebraElement.one(rank), q
-            except NotDivisible:
-                pass
+    g = _xgcd_primitive(num.dense1()[1], den.dense1()[1])
+    if len(g) > 1:
+        g_ga = GroupAlgebraElement.from_dense1(0, g)
+        num = num.exact_div(g_ga)
+        den = den.exact_div(g_ga)
 
     # joint coefficient content
     g = QLaurent.gcd(num.content(), den.content())
     if not g.is_one() and not g.is_zero():
-        num = GroupAlgebraElement(rank, {v: c.exact_div(g) for v, c in num.terms()})
-        den = GroupAlgebraElement(rank, {v: c.exact_div(g) for v, c in den.terms()})
+        num = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in num.terms()})
+        den = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in den.terms()})
 
-    # monomial units: denominator valuation 0 in every lattice coordinate
-    dshift = tuple(-min(v[i] for v, _ in den.terms()) for i in range(rank))
+    # monomial units: denominator lattice valuation 0
+    dshift = (-min(v[0] for v, _ in den.terms()),)
     num = num.shift(dshift)
     den = den.shift(dshift)
 
@@ -834,4 +788,4 @@ def rf_normalize(num: GroupAlgebraElement, den: GroupAlgebraElement) -> Rational
     unit = QLaurent.u_power(-lead.valuation(), 1 / lead.leading_coeff())
     num = num.scale(unit)
     den = den.scale(unit)
-    return RationalFunction(num, den, True)
+    return RationalFunction(num, den)

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .hecke import frac_to_json
+
 
 class ParameterError(ValueError):
     pass
@@ -73,6 +75,13 @@ class InertialClass:
         return self.type_minus if minus else self.type_plus
 
 
+def _class_by_label(classes: tuple[InertialClass, ...], label: str) -> InertialClass:
+    for c in classes:
+        if c.label == label:
+            return c
+    raise KeyError(label)
+
+
 @dataclass(frozen=True)
 class NormedParameter:
     """Multiplicities m(rho) per inertial class with sum of dimensions 2n.
@@ -107,10 +116,7 @@ class NormedParameter:
         return dict(self.mult).get(label, 0)
 
     def cls(self, label: str) -> InertialClass:
-        for c in self.classes:
-            if c.label == label:
-                return c
-        raise KeyError(label)
+        return _class_by_label(self.classes, label)
 
     def support(self) -> list[InertialClass]:
         return [c for c in self.classes if self.m(c.label) > 0]
@@ -169,10 +175,7 @@ class DiscreteParameter:
                 raise ParameterError("block sizes must be positive")
 
     def cls(self, label: str) -> InertialClass:
-        for c in self.classes:
-            if c.label == label:
-                return c
-        raise KeyError(label)
+        return _class_by_label(self.classes, label)
 
     def members(self) -> list[tuple[str, bool]]:
         seen = []
@@ -390,24 +393,19 @@ class MpHeckePresentation:
         return {
             "kind": self.kind,
             "size": self.size,
-            "exponents": [_frac_str(e) for e in self.exponents],
-            "special": _frac_str(self.special) if self.special is not None else None,
-            "qi": _frac_str(self.qi) if self.qi is not None else None,
+            "exponents": [frac_to_json(e) for e in self.exponents],
+            "special": frac_to_json(self.special) if self.special is not None else None,
+            "qi": frac_to_json(self.qi) if self.qi is not None else None,
             "scale": self.scale,
             "extended": self.extended,
         }
-
-
-def _frac_str(x: Fraction):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _q_str(e: Fraction) -> str:
     e = Fraction(e)
     if e == 1:
         return "q"
-    return f"q^{_frac_str(e)}"
+    return f"q^{frac_to_json(e)}"
 
 
 def hecke_for_block(p0: NormedParameter, S: SChoice, cls: InertialClass) -> MpHeckePresentation:
@@ -560,19 +558,19 @@ def verify_match(p0: NormedParameter) -> dict:
 
 def enumerate_blocks(p0: NormedParameter) -> list[dict]:
     """One record per Bernstein block: anchor choice, character, presentations."""
+    support = p0.support()
+    matches = {cls.label: classical_match(cls, p0.m(cls.label)) for cls in support}
     out = []
     for S in enumerate_S(p0):
-        anchor = anchor_parameter(p0, S)
-        for eps in enumerate_alt_chars(anchor):
-            presentations = {cls.label: hecke_for_block(p0, S, cls)
-                             for cls in p0.support()}
+        chars = enumerate_alt_chars(anchor_parameter(p0, S))
+        presentations = {cls.label: hecke_for_block(p0, S, cls) for cls in support}
+        for eps in chars:
             out.append({
                 "S": S,
                 "epsilon": eps,
                 "epsilon_Z": epsilon_Z(eps),
-                "hecke": presentations,
-                "classical_match": {cls.label: classical_match(cls, p0.m(cls.label))
-                                    for cls in p0.support()},
+                "hecke": dict(presentations),
+                "classical_match": dict(matches),
             })
     return out
 

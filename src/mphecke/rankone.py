@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import GroupAlgebraElement, QLFrac, QLaurent, RationalFunction
+from .laurent import GroupAlgebraElement, QLFrac, QLaurent, RationalFunction, rf_normalize
 
 
 class InconsistentSigns(ValueError):
@@ -64,7 +64,6 @@ def _x_poly(coeffs: dict[int, QLaurent]) -> GroupAlgebraElement:
 
 
 def _rf(num: dict[int, QLaurent], den: dict[int, QLaurent] | None = None) -> RationalFunction:
-    from .laurent import rf_normalize
     n = _x_poly(num)
     d = _x_poly(den) if den else GroupAlgebraElement.one(1)
     return rf_normalize(n, d)
@@ -104,7 +103,6 @@ def mu_build(a, b, c_prime=1) -> MuFunction:
         * _x_poly({0: ONE, 1: ONE}) * _x_poly({0: ONE, -1: ONE})
     den = _x_poly({0: ONE, 1: -qa}) * _x_poly({0: ONE, -1: -qa}) \
         * _x_poly({0: ONE, 1: qb}) * _x_poly({0: ONE, -1: qb})
-    from .laurent import rf_normalize
     value = rf_normalize(num.scale(QLaurent.const(c_prime)), den)
     mu = MuFunction(a, b, c_prime, value)
     assert value.bar() == value, "mu must be symmetric under X -> X^-1"
@@ -167,19 +165,19 @@ class RankOneAlgebra:
         self.mu_inv = mu.value.inverse()
 
     def zero(self) -> RankOneElement:
-        return RankOneElement(RationalFunction.zero(1), RationalFunction.zero(1))
+        return RankOneElement(RationalFunction.zero(), RationalFunction.zero())
 
     def one(self) -> RankOneElement:
-        return RankOneElement(RationalFunction.one(1), RationalFunction.zero(1))
+        return RankOneElement(RationalFunction.one(), RationalFunction.zero())
 
     def scalar(self, c: QLaurent) -> RankOneElement:
-        return RankOneElement(RationalFunction.const(1, c), RationalFunction.zero(1))
+        return RankOneElement(RationalFunction.const(c), RationalFunction.zero())
 
     def from_f(self, f: RationalFunction) -> RankOneElement:
-        return RankOneElement(f, RationalFunction.zero(1))
+        return RankOneElement(f, RationalFunction.zero())
 
     def j(self) -> RankOneElement:
-        return RankOneElement(RationalFunction.zero(1), RationalFunction.one(1))
+        return RankOneElement(RationalFunction.zero(), RationalFunction.one())
 
     def x(self) -> RankOneElement:
         return self.from_f(_rf({1: ONE}))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -128,19 +129,12 @@ class Component:
             return 1
         k = self.k
         if self.letter == "A":
-            return _factorial(k + 1)
+            return factorial(k + 1)
         if self.letter in ("B", "C"):
-            return 2 ** k * _factorial(k)
+            return 2 ** k * factorial(k)
         if self.letter == "D":
-            return 2 ** (k - 1) * _factorial(k) if k >= 1 else 1
+            return 2 ** (k - 1) * factorial(k) if k >= 1 else 1
         raise ValueError(self.letter)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 @dataclass(frozen=True)
@@ -164,10 +158,10 @@ class BasedRootDatum:
                 raise ValueError("positive roots contain an opposite pair")
         # every positive root is a nonnegative integer combination of the base
         simples = [self.pos_roots[i][0] for i in self.base]
-        if simples and _matrix_rank(simples) != len(simples):
+        if simples and matrix_rank(simples) != len(simples):
             raise ValueError("base is not linearly independent")
         for r, _ in self.pos_roots:
-            coeffs = _solve(simples, r)
+            coeffs = solve_in_span(simples, r)
             if coeffs is None or any(c < 0 or c.denominator != 1 for c in coeffs):
                 raise ValueError(f"root {r} is not a nonnegative base combination")
 
@@ -325,9 +319,7 @@ def _bcd_datum(n: int, letter: str) -> BasedRootDatum:
     return BasedRootDatum(n, tuple(pos), tuple(base), (comp,))
 
 
-def build_O_datum(components: Sequence[tuple[str, int, int]], ambient_rank: int,
-                  explicit_roots: Sequence[tuple[Sequence, Sequence]] | None = None,
-                  explicit_base: Sequence[int] | None = None) -> BasedRootDatum:
+def build_O_datum(components: Sequence[tuple[str, int, int]], ambient_rank: int) -> BasedRootDatum:
     """Assemble the rescaled datum from classified components.
 
     ``components`` is a list of (type_label, size, t) laid out on
@@ -336,23 +328,13 @@ def build_O_datum(components: Sequence[tuple[str, int, int]], ambient_rank: int,
     component is emitted with type label B: its rescaled long root becomes
     the short root of a B-shaped system.  Roots are t * standard and
     coroots standard / t, so <a, a^> = 2 always holds.
-
-    ``explicit_roots`` overrides the construction entirely (the lattice
-    override hook): a list of positive (root, coroot) pairs, with
-    ``explicit_base`` the indices of the simple ones (defaults to all);
-    the result must still satisfy the datum invariants.
     """
-    if explicit_roots is not None:
-        pos = tuple((_vec(r), _vec(c)) for r, c in explicit_roots)
-        base = tuple(explicit_base) if explicit_base is not None else tuple(range(len(pos)))
-        return BasedRootDatum(ambient_rank, pos, base, ())
-
     pos: list[tuple[Vec, Vec]] = []
     base: list[int] = []
     comps: list[Component] = []
     offset = 0
     for label, size, t in components:
-        letter, sub = _parse_label(label)
+        letter, sub = parse_label(label)
         if letter == "A" and sub != size - 1:
             raise ValueError(f"A-component {label} must occupy {sub + 1} slots, got {size}")
         if letter in ("B", "C", "D") and sub != size:
@@ -367,23 +349,7 @@ def build_O_datum(components: Sequence[tuple[str, int, int]], ambient_rank: int,
     return BasedRootDatum(ambient_rank, tuple(pos), tuple(base), tuple(comps))
 
 
-def datum_from_json(data) -> BasedRootDatum:
-    """Load a datum from {rank, components: [{type, size, t}], roots?}.
-
-    The optional "roots" key is the explicit-lattice override: a list of
-    [root, coroot] coordinate pairs (rationals as int or "p/q") that
-    replaces the component construction entirely.
-    """
-    rank = int(data["rank"])
-    if "roots" in data and data["roots"] is not None:
-        pairs = [(r, c) for r, c in data["roots"]]
-        base = data.get("base")
-        return build_O_datum([], rank, explicit_roots=pairs, explicit_base=base)
-    comps = [(c["type"], int(c["size"]), int(c.get("t", 1))) for c in data.get("components", [])]
-    return build_O_datum(comps, rank)
-
-
-def _parse_label(label: str) -> tuple[str, int]:
+def parse_label(label: str) -> tuple[str, int]:
     if label == "empty":
         return "empty", 0
     letter = label[0]
@@ -531,67 +497,51 @@ def group_closure(gens: Sequence[WeylElement], rank: int, guard: int = WEYL_ENUM
 # Exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def _solve(vectors: Sequence[Vec], target: Sequence) -> list[Fraction] | None:
-    """Coefficients c with sum c_i vectors[i] == target, or None (exact)."""
-    if not vectors:
-        return [] if all(Fraction(x) == 0 for x in target) else None
-    n = len(vectors[0])
-    rows = [[Fraction(vectors[j][i]) for j in range(len(vectors))] + [Fraction(target[i])]
-            for i in range(n)]
-    m = len(vectors)
+def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination in place on the first ``ncols`` columns.
+
+    Returns the pivot columns; pivot row i holds a 1 in column i of the
+    result and zeros above and below it.
+    """
     piv_cols: list[int] = []
     r = 0
-    for col in range(m):
-        p = next((i for i in range(r, n) if rows[i][col]), None)
+    for col in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         inv = 1 / rows[r][col]
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
+        for i in range(len(rows)):
             if i != r and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         piv_cols.append(col)
         r += 1
-    for i in range(r, n):
-        if rows[i][m]:
-            return None
-    coeffs = [Fraction(0)] * m
-    for i, col in enumerate(piv_cols):
-        coeffs[col] = rows[i][m]
-        for j in range(m):
-            if j != col and rows[i][j]:
-                # free variables set to zero; inconsistent only if pivoting failed
-                pass
-    return coeffs
-
-
-def _matrix_rank(rows: Sequence[Sequence]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        p = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if p is None:
-            continue
-        mat[rank], mat[p] = mat[p], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+    return piv_cols
 
 
 def solve_in_span(vectors: Sequence[Vec], target: Sequence) -> list[Fraction] | None:
-    """Public exact solver: coefficients over Q or None if not in the span."""
-    return _solve(vectors, target)
+    """Coefficients c with sum c_i vectors[i] == target, or None (exact).
+
+    Free variables are set to zero.
+    """
+    if not vectors:
+        return [] if all(Fraction(x) == 0 for x in target) else None
+    m = len(vectors)
+    rows = [[Fraction(v[i]) for v in vectors] + [Fraction(target[i])]
+            for i in range(len(vectors[0]))]
+    piv_cols = _row_reduce(rows, m)
+    if any(row[m] for row in rows[len(piv_cols):]):
+        return None
+    coeffs = [Fraction(0)] * m
+    for i, col in enumerate(piv_cols):
+        coeffs[col] = rows[i][m]
+    return coeffs
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    return _matrix_rank(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return 0
+    return len(_row_reduce(mat, len(mat[0])))

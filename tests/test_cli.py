@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from mphecke.cli import main
 
@@ -171,3 +174,38 @@ def test_byte_determinism_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# SHA-256 of the exact stdout bytes of each verb.  The inputs are the two
+# example inputs of README.md (the block descriptor and phi0_spec()).
+GOLDEN_STDOUT = [
+    (("weil-example", "--n", "3"),
+     "178fa0c194c6aca6d2633cb97bd41f35e07de59d464ccd3ed7ff1028a4f5baa0"),
+    (("rankone-verify", "--grid", "1/2..1"),
+     "97fd337a7819b2170782c86b2641ab26c541f258f8bc9feab50caac3c4e34d7e"),
+    (("hecke-check", "--max-rank", "2"),
+     "cf66065947dd85193c098ac4e5610ef70d7aad58722f843e9d54e93e6d06af2e"),
+    (("mp-enumerate", "{phi}"),
+     "88f1a2bd6e0f6f5d256ac69a6a35435376cf45b3dc16c387c704d612d025fe14"),
+    (("mp-match", "{phi}"),
+     "7ba7be50751c655adbb0b1a5b4b900b6e4906853e7290d831c51095f9e435b34"),
+    (("blocks-classify", "{descriptor}"),
+     "33ac7cf9d0f9463dfe06a7423c192c5e5f3ecef79eeb5caaba1e6b8589228daf"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[a[0] for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout_bytes(tmp_path, capsys, argv, digest):
+    descriptor = {
+        "schema": "v1", "ambient": "Mp", "h_rank": 1,
+        "lines": [{"d": 1, "k": 3, "gl_singular": True, "boundary_pole": True,
+                   "self_dual_T": True, "tau_T": False}],
+    }
+    inputs = {"phi": phi0_spec(), "descriptor": descriptor}
+    paths = {}
+    for name, spec in inputs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(spec))
+    code, out, _ = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

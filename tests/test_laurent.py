@@ -220,3 +220,10 @@ def test_residue_simple_pole():
     res = f.residue1(QLaurent.one())
     assert res == QLFrac(q(1) - one)
     assert f.residue1(QLaurent.const(-1)).is_zero()
+
+
+def test_rational_functions_are_rank_one_only():
+    with pytest.raises(ValueError):
+        rf_normalize(GA.one(2), GA.one(2))
+    with pytest.raises(ValueError):
+        RationalFunction(GA.one(2), GA.one(2))
