@@ -31,7 +31,6 @@ from .hecke import (
     HeckeParams,
     HeckePresentation,
     ModuleExponents,
-    commute_zu,
     ext_mul,
     he_mul,
     is_central,

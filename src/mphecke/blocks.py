@@ -20,8 +20,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .hecke import HeckeParams, HeckePresentation
-from .rootdata import Component, WeylElement, build_O_datum, group_closure, parse_label
+from .hecke import HeckeParams, HeckePresentation, InvalidParameters
+from .rootdata import (
+    Component,
+    WeylElement,
+    build_O_datum,
+    coroot_in_2Lambda,
+    group_closure,
+    parse_label,
+)
 
 AMBIENTS = ("Mp", "Sp", "SO_odd", "SO_even", "O_even", "U", "GL")
 
@@ -350,14 +357,12 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
                     "a_{s,-} != 0 is only allowed on the short root of a type-B component")
             alpha_exp.append(a + am)
             if is_short_b:
-                from .rootdata import coroot_in_2Lambda
                 coroot = datum.simple_pairs()[len(alpha_exp) - 1][1]
                 if coroot_in_2Lambda(coroot, datum):
                     qi_exp[ci] = a - am
                 elif am != 0:
                     raise InvalidInvariants(
                         "short-root coroot is not in 2*Lambda^; cannot carry a_{s,-}")
-    from .hecke import InvalidParameters
     try:
         params = HeckeParams(datum, tuple(alpha_exp), qi_exp)  # conjugacy + q_i placement
     except InvalidParameters as e:

@@ -18,7 +18,7 @@ from . import blocks as blocks_mod
 from . import hecke as hecke_mod
 from . import mpparams, rankone
 from .laurent import GroupAlgebraElement, QLaurent
-from .rootdata import build_O_datum, classical_datum
+from .rootdata import braid_order, build_O_datum, classical_datum
 
 
 class InputError(ValueError):
@@ -167,11 +167,9 @@ def run_hecke_suite(max_rank: int = 4, n_triples: int = 25, seed: int = 20250809
         braid = []
         for i in range(d.num_simples()):
             for j in range(i + 1, d.num_simples()):
-                from .rootdata import braid_order
                 mij = braid_order(i, j, d)
                 ui = hecke_mod.HeckeElement.u_simple(d, p, i)
                 uj = hecke_mod.HeckeElement.u_simple(d, p, j)
-                lhs, rhs = ui, uj
                 cur_l, cur_r = ui, uj
                 for k in range(1, mij):
                     nxt = uj if k % 2 else ui

@@ -30,12 +30,12 @@ from .rootdata import (
     WEYL_ENUM_GUARD,
     BasedRootDatum,
     WeylElement,
+    build_O_datum,
     coroot_in_2Lambda,
     matrix_rank,
     pair,
     reduced_word,
     solve_in_span,
-    weyl_length,
 )
 
 
@@ -172,16 +172,7 @@ class HeckeElement:
 
     def __init__(self, datum: BasedRootDatum, params: HeckeParams,
                  terms: Mapping[WeylElement, GroupAlgebraElement] | None = None):
-        t: dict[WeylElement, GroupAlgebraElement] = {}
-        if terms:
-            for w, b in terms.items():
-                if not b.is_zero():
-                    acc = t.get(w)
-                    b = b if acc is None else acc + b
-                    if b.is_zero():
-                        t.pop(w, None)
-                    else:
-                        t[w] = b
+        t = {w: b for w, b in terms.items() if not b.is_zero()} if terms else {}
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_t", t)
@@ -266,26 +257,13 @@ def _u_simple_times(i: int, z: HeckeElement) -> HeckeElement:
     """Left multiplication U_{s_i} * z, renormalised."""
     d, p = z.datum, z.params
     s = d.simple_reflection(i)
+    alpha = d.simple_pairs()[i][0]
     qa = p.q_alpha(i)
     qa_minus_1 = qa - QLaurent.one()
     out: dict[WeylElement, GroupAlgebraElement] = {}
 
     def add(w, b):
-        if b.is_zero():
-            return
-        acc = out.get(w)
-        b = b if acc is None else acc + b
-        if b.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = b
-
-    lv_cache: dict[WeylElement, int] = {}
-
-    def length(w):
-        if w not in lv_cache:
-            lv_cache[w] = weyl_length(w, d)
-        return lv_cache[w]
+        out[w] = out[w] + b if w in out else b
 
     for v, c in z._t.items():
         sc = c.apply_lattice_map(s.act_int)
@@ -296,7 +274,8 @@ def _u_simple_times(i: int, z: HeckeElement) -> HeckeElement:
             if not dmu.is_zero():
                 corr = corr + dmu.scale(coeff)
         sv = s * v
-        if length(sv) > length(v):
+        # l(s_i v) > l(v) exactly when v^-1(alpha_i) is a positive root
+        if d.root_sign(v.inverse().act(alpha)) == 1:
             add(sv, sc)
         else:
             add(v, sc.scale(qa_minus_1))
@@ -318,12 +297,6 @@ def he_mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
             acc = _u_simple_times(letter, acc)
         out = out + acc.ga_mul_left(b)
     return out
-
-
-def commute_zu(lam: Sequence[int], i: int, d: BasedRootDatum, p: HeckeParams) -> HeckeElement:
-    """Spec-level wrapper: the correction as a Hecke element (coefficient of U_e)."""
-    ga = commute_zu_ga(lam, i, d, p)
-    return HeckeElement(d, p, {WeylElement.identity(d.rank): ga})
 
 
 def is_central(x: HeckeElement) -> bool:
@@ -389,18 +362,10 @@ class ExtendedHeckeElement:
                 if datum.root_sign(r.act(root)) != 1:
                     raise ValueError(
                         "R-group element does not preserve the positive roots")
-        t: dict[WeylElement, HeckeElement] = {}
-        if terms:
-            for r, h in terms.items():
-                if r not in cocycle.group:
-                    raise ValueError("term index outside the stored R-group")
-                if not h.is_zero():
-                    acc = t.get(r)
-                    h = h if acc is None else acc + h
-                    if h.is_zero():
-                        t.pop(r, None)
-                    else:
-                        t[r] = h
+        terms = terms or {}
+        if any(r not in cocycle.group for r in terms):
+            raise ValueError("term index outside the stored R-group")
+        t = {r: h for r, h in terms.items() if not h.is_zero()}
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "cocycle", cocycle)
@@ -579,7 +544,6 @@ class HeckePresentation:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "HeckePresentation":
-        from .rootdata import build_O_datum
         dd = data["datum"]
         datum = build_O_datum([(c["type"], c["size"], c["t"]) for c in dd["components"]],
                               dd["rank"])

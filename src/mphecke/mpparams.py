@@ -33,7 +33,7 @@ GL_m datum with equal exponents t.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -94,18 +94,19 @@ class NormedParameter:
     n: int
     classes: tuple[InertialClass, ...]
     mult: tuple[tuple[str, int], ...]
+    by_label: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [c.label for c in self.classes]
         if len(set(labels)) != len(labels):
             raise ParameterError("duplicate class labels")
         object.__setattr__(self, "mult", tuple((str(l), int(m)) for l, m in self.mult))
-        by_label = dict(self.mult)
-        if set(by_label) - set(labels):
+        object.__setattr__(self, "by_label", dict(self.mult))
+        if set(self.by_label) - set(labels):
             raise ParameterError("multiplicity for unknown class")
         total = 0
         for c in self.classes:
-            m = by_label.get(c.label, 0)
+            m = self.m(c.label)
             if m < 0:
                 raise ParameterError("multiplicities must be >= 0")
             total += c.d * m * (1 if c.self_dual else 2)
@@ -113,7 +114,7 @@ class NormedParameter:
             raise ParameterError(f"dimension identity fails: {total} != {2 * self.n}")
 
     def m(self, label: str) -> int:
-        return dict(self.mult).get(label, 0)
+        return self.by_label.get(label, 0)
 
     def cls(self, label: str) -> InertialClass:
         return _class_by_label(self.classes, label)

@@ -84,9 +84,6 @@ class MuFunction:
     c_prime: Fraction
     value: RationalFunction
 
-    def is_constant(self) -> bool:
-        return self.a == 0 and self.b == 0
-
 
 def mu_build(a, b, c_prime=1) -> MuFunction:
     """The rank-one reducibility function in canonical form.

@@ -14,7 +14,7 @@ lattice slot, and D_2 is two orthogonal roots under one label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
@@ -85,9 +85,6 @@ class WeylElement:
             signs[self.perm[i]] = self.signs[i]
         return WeylElement(tuple(perm), tuple(signs))
 
-    def num_sign_flips(self) -> int:
-        return sum(1 for s in self.signs if s == -1)
-
 
 def reflection(root: Sequence, coroot: Sequence, rank: int) -> WeylElement:
     """The reflection v -> v - <v, coroot> root, as a signed permutation."""
@@ -143,6 +140,9 @@ class BasedRootDatum:
     pos_roots: tuple[tuple[Vec, Vec], ...]   # (root, coroot), both in Q^rank
     base: tuple[int, ...]                    # indices into pos_roots
     components: tuple[Component, ...] = ()
+    # built once in __post_init__ from the fields above, never written again
+    _simple_reflections: tuple[WeylElement, ...] = field(init=False, repr=False, compare=False)
+    _root_signs: dict[Vec, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for root, coroot in self.pos_roots:
@@ -164,6 +164,11 @@ class BasedRootDatum:
             coeffs = solve_in_span(simples, r)
             if coeffs is None or any(c < 0 or c.denominator != 1 for c in coeffs):
                 raise ValueError(f"root {r} is not a nonnegative base combination")
+        object.__setattr__(self, "_simple_reflections", tuple(
+            reflection(root, coroot, self.rank) for root, coroot in self.simple_pairs()))
+        signs = {r: 1 for r in roots}
+        signs.update((tuple(-x for x in r), -1) for r in roots)
+        object.__setattr__(self, "_root_signs", signs)
 
     # -- views ---------------------------------------------------------------
 
@@ -171,20 +176,14 @@ class BasedRootDatum:
         return [self.pos_roots[i] for i in self.base]
 
     def simple_reflection(self, i: int) -> WeylElement:
-        root, coroot = self.pos_roots[self.base[i]]
-        return reflection(root, coroot, self.rank)
+        return self._simple_reflections[i]
 
     def num_simples(self) -> int:
         return len(self.base)
 
     def root_sign(self, v: Vec) -> int | None:
         """+1 / -1 if v is a positive/negative root of the datum, else None."""
-        for r, _ in self.pos_roots:
-            if r == v:
-                return 1
-            if tuple(-x for x in r) == v:
-                return -1
-        return None
+        return self._root_signs.get(v)
 
     def weyl_order(self) -> int:
         out = 1
@@ -216,9 +215,6 @@ class DiagramAutomorphism:
             if img not in simples:
                 raise ValueError("automorphism does not permute the base")
         # pairings are preserved by any signed permutation acting on both sides
-
-    def act_root(self, v: Vec) -> Vec:
-        return self.map.act(v)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +419,6 @@ def reduced_word(w: WeylElement, d: BasedRootDatum) -> list[int]:
     datum raises ValueError.
     """
     simples = d.simple_pairs()
-    refls = [d.simple_reflection(i) for i in range(len(simples))]
     word: list[int] = []
     cur = w
     for _ in range(len(d.pos_roots) + 1):
@@ -433,7 +428,7 @@ def reduced_word(w: WeylElement, d: BasedRootDatum) -> list[int]:
         for i, (root, _) in enumerate(simples):
             if d.root_sign(cur.act(root)) == -1:
                 word.append(i)
-                cur = cur * refls[i]
+                cur = cur * d.simple_reflection(i)
                 break
         else:
             raise ValueError("element is not in the Weyl group of the datum")

@@ -11,7 +11,6 @@ from mphecke.hecke import (
     HeckeParams,
     HeckePresentation,
     InvalidParameters,
-    commute_zu,
     commute_zu_ga,
     ext_mul,
     he_mul,
@@ -21,7 +20,14 @@ from mphecke.hecke import (
 )
 from mphecke.laurent import GroupAlgebraElement as GA
 from mphecke.laurent import QLaurent
-from mphecke.rootdata import WeylElement, braid_order, build_O_datum, classical_datum, weyl_enumerate
+from mphecke.rootdata import (
+    WeylElement,
+    braid_order,
+    build_O_datum,
+    classical_datum,
+    weyl_enumerate,
+    weyl_length,
+)
 
 F = Fraction
 
@@ -115,14 +121,6 @@ def test_commute_zu_special_branch():
     assert corr == expected
 
 
-def test_commute_zu_wrapper_is_hecke_element():
-    d, p = gl2()
-    h = commute_zu((1, 0), 0, d, p)
-    assert isinstance(h, HeckeElement)
-    ((w, b),) = h.terms()
-    assert w.is_identity() and b == GA.monomial((1, 0), q(1) - QLaurent.one())
-
-
 # -- products ----------------------------------------------------------------------
 
 def test_quadratic_relation_instance():
@@ -147,6 +145,36 @@ def test_length_additive_product():
     w = d.simple_reflection(0) * d.simple_reflection(1) * d.simple_reflection(0)
     lhs = he_mul(he_mul(u0, u1), u0)
     assert lhs == HeckeElement.from_u(d, p, w)
+
+
+def _descent_data():
+    d2, _ = classical_datum("SO_even", 4)
+    d3, _ = classical_datum("SO_even", 6)
+    b3, _ = classical_datum("SO_odd", 7)
+    a3, _ = classical_datum("GL", 4)
+    return [gl3(), (a3, HeckeParams(a3, (F(1),) * 3)), b2(),
+            (b3, HeckeParams(b3, (F(1), F(1), F(3, 2)), {0: F(1, 2)})),
+            (d2, HeckeParams(d2, (F(1), F(2)))), (d3, HeckeParams(d3, (F(1),) * 3)),
+            a1a1()]
+
+
+def test_simple_times_basis_follows_length_rule():
+    """U_{s_i} U_w against the two-case rule decided by weyl_length."""
+    count = 0
+    for d, p in _descent_data():
+        for w in weyl_enumerate(d):
+            uw = HeckeElement.from_u(d, p, w)
+            for i in range(d.num_simples()):
+                s = d.simple_reflection(i)
+                usw = HeckeElement.from_u(d, p, s * w)
+                if weyl_length(s * w, d) > weyl_length(w, d):
+                    expected = usw
+                else:
+                    qa = p.q_alpha(i)
+                    expected = uw.scale(qa - QLaurent.one()) + usw.scale(qa)
+                assert he_mul(HeckeElement.u_simple(d, p, i), uw) == expected
+                count += 1
+    assert count == 332
 
 
 @pytest.mark.parametrize("make", ALL_DATA)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from mphecke.rootdata import (
     coroot_in_2Lambda,
     pair,
     reduced_word,
+    reflection,
     weyl_enumerate,
     weyl_length,
 )
@@ -50,7 +52,7 @@ def test_o_even_returns_flip():
     d, flip = classical_datum("O_even", 6)
     assert flip is not None
     base = {r for r, _ in d.simple_pairs()}
-    images = {flip.act_root(r) for r in base}
+    images = {flip.map.act(r) for r in base}
     assert images == base
     assert flip.map * flip.map == WeylElement.identity(3)
 
@@ -201,6 +203,43 @@ def test_enumeration_guard():
     d = datum("Sp", 16)
     with pytest.raises(ValueError):
         weyl_enumerate(d)
+
+
+def _datum_builders():
+    sizes = {"GL": range(1, 5), "SO_odd": range(1, 10, 2), "Sp": range(0, 10, 2),
+             "SO_even": range(0, 10, 2), "O_even": range(2, 10, 2)}
+    out = [lambda kind=kind, size=size: datum(kind, size)
+           for kind, sz in sizes.items() for size in sz]
+    out.append(lambda: build_O_datum([("A1", 2, 1), ("A1", 2, 1)], 4))
+    out.append(lambda: build_O_datum([("B2", 2, 2), ("A1", 2, 1)], 4))   # t = 2 component
+    return out
+
+
+def _scan_sign(d, v):
+    for r, _ in d.pos_roots:
+        if r == v:
+            return 1
+        if tuple(-x for x in r) == v:
+            return -1
+    return None
+
+
+def test_built_once_facts_match_their_definitions():
+    for make in _datum_builders():
+        d = make()
+        probes = [tuple(Fraction(0) for _ in range(d.rank))]
+        for r, _ in d.pos_roots:
+            probes += [r, tuple(-x for x in r), tuple(2 * x for x in r)]
+        for v in probes:
+            assert d.root_sign(v) == _scan_sign(d, v)
+        for i, (root, coroot) in enumerate(d.simple_pairs()):
+            assert d.simple_reflection(i) == reflection(root, coroot, d.rank)
+
+
+def test_data_built_alike_are_equal():
+    for make in _datum_builders():
+        d, e = make(), make()
+        assert d is not e and d == e and hash(d) == hash(e)
 
 
 def test_length_inverse_invariant():
