@@ -15,7 +15,8 @@ Three layers:
   with :class:`QLaurent` coefficients; monomials are written ``Z_lam``.
 * :class:`RationalFunction` -- quotients of rank-1 group-algebra elements
   (rational functions in one variable ``X``) with a deterministic
-  canonical form, so equality is decidable.
+  canonical form, so equality is decidable.  Elements of the field Q(u)
+  are its constants; there is no separate fraction class.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -318,77 +319,6 @@ def _content(coeffs: Iterable[QLaurent]) -> QLaurent:
 
 
 # ---------------------------------------------------------------------------
-# Fractions of QLaurent (the field Q(u)); internal helper for canonical forms
-# ---------------------------------------------------------------------------
-
-class QLFrac:
-    """An element of the fraction field of Q[u, u^-1], kept reduced."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QLaurent, den: QLaurent = None):
-        if den is None:
-            den = QLaurent.one()
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = QLaurent.one()
-        else:
-            g = QLaurent.gcd(num, den)
-            if not g.is_one():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            # normalise the denominator to a valuation-0 monic polynomial
-            unit = QLaurent.u_power(-den.valuation(), 1 / den.leading_coeff())
-            num = num * unit
-            den = den * unit
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("QLFrac is immutable")
-
-    @classmethod
-    def zero(cls) -> "QLFrac":
-        return cls(QLaurent.zero())
-
-    @classmethod
-    def one(cls) -> "QLFrac":
-        return cls(QLaurent.one())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, o: "QLFrac") -> "QLFrac":
-        return QLFrac(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o: "QLFrac") -> "QLFrac":
-        return self + (-o)
-
-    def __neg__(self) -> "QLFrac":
-        return QLFrac(-self.num, self.den)
-
-    def __mul__(self, o: "QLFrac") -> "QLFrac":
-        return QLFrac(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, o: "QLFrac") -> "QLFrac":
-        if o.is_zero():
-            raise ZeroDivisionError
-        return QLFrac(self.num * o.den, self.den * o.num)
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, QLFrac) and self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.den.is_one():
-            return f"({self.num})"
-        return f"({self.num})/({self.den})"
-
-
-# ---------------------------------------------------------------------------
 # Lattice group algebra
 # ---------------------------------------------------------------------------
 
@@ -611,10 +541,12 @@ class RationalFunction:
     """A quotient num/den of rank-1 group-algebra elements, i.e. a rational
     function in one variable ``X`` over Q(u).
 
-    Every value is in the canonical form produced by :func:`rf_normalize`
-    (build values with it or with :meth:`from_ga`; the constructor keeps
-    the pair it is given).  Equality is decided by cross-multiplication,
-    independently of the form.
+    Every value is in the canonical form produced by :func:`rf_normalize`:
+    build values with it or with :meth:`from_ga`.  The raw constructor
+    keeps the pair it is given, so it takes only pairs that are already
+    canonical (as the rank-one ``mu`` and its inverse are by
+    construction); ``__hash__`` relies on that.  Equality is decided by
+    cross-multiplication, independently of the form.
     """
 
     __slots__ = ("num", "den")
@@ -668,14 +600,14 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError
-        return rf_normalize(self.den, self.num)
+        return _fix_units(self.den, self.num)
 
     def scale(self, c: QLaurent) -> "RationalFunction":
         return rf_normalize(self.num.scale(c), self.den)
 
     def bar(self) -> "RationalFunction":
         """Substitute X -> X^-1."""
-        return rf_normalize(self.num.bar(), self.den.bar())
+        return _fix_units(self.num.bar(), self.den.bar())
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, RationalFunction):
@@ -690,14 +622,15 @@ class RationalFunction:
 
     # evaluation helpers used by the rank-one intertwining model
 
-    def eval1(self, point: QLaurent) -> QLFrac:
-        """Value at X = point (a unit of Q[u,u^-1]); pole raises ZeroDivisionError."""
+    def eval1(self, point: QLaurent) -> "RationalFunction":
+        """Value at X = point (a unit of Q[u,u^-1]) as a constant; pole raises ZeroDivisionError."""
         den = self.den.eval1(point)
         if den.is_zero():
             raise ZeroDivisionError(f"pole at {point}")
-        return QLFrac(self.num.eval1(point), den)
+        return rf_normalize(GroupAlgebraElement.const(1, self.num.eval1(point)),
+                            GroupAlgebraElement.const(1, den))
 
-    def residue1(self, point: QLaurent) -> QLFrac:
+    def residue1(self, point: QLaurent) -> "RationalFunction":
         """Residue at X = point for a pole of order <= 1 (0 if regular).
 
         The canonical form shares no factor between numerator and
@@ -705,14 +638,15 @@ class RationalFunction:
         """
         dval = self.den.eval1(point)
         if not dval.is_zero():
-            return QLFrac.zero()
+            return RationalFunction.zero()
         val, coeffs = self.den.dense1()
         deriv = GroupAlgebraElement.from_dense1(
             val - 1, [c.scale(val + i) for i, c in enumerate(coeffs)])
         dprime = deriv.eval1(point)
         if dprime.is_zero():
             raise ValueError("pole of order >= 2")
-        return QLFrac(self.num.eval1(point), dprime)
+        return rf_normalize(GroupAlgebraElement.const(1, self.num.eval1(point)),
+                            GroupAlgebraElement.const(1, dprime))
 
 
 def _xpoly_primitive(p: list[QLaurent]) -> list[QLaurent]:
@@ -777,7 +711,16 @@ def rf_normalize(num: GroupAlgebraElement, den: GroupAlgebraElement) -> Rational
     if not g.is_one() and not g.is_zero():
         num = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in num.terms()})
         den = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in den.terms()})
+    return _fix_units(num, den)
 
+
+def _fix_units(num: GroupAlgebraElement, den: GroupAlgebraElement) -> RationalFunction:
+    """Canonical form of a reduced pair: only its units c u^k X^j are fixed.
+
+    A reduced pair stays reduced under X -> X^-1 and under swapping num
+    and den, so ``bar`` and ``inverse`` need only this last step of
+    :func:`rf_normalize`.
+    """
     # monomial units: denominator lattice valuation 0
     dshift = (-min(v[0] for v, _ in den.terms()),)
     num = num.shift(dshift)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mphecke.laurent import (
     GroupAlgebraElement,
     NotDivisible,
-    QLFrac,
     QLaurent,
     RationalFunction,
     rf_normalize,
@@ -208,6 +207,18 @@ def test_rf_equality_respects_cross_multiplication(n1, d1, g):
     assert (a.num, a.den) == (b.num, b.den)
 
 
+@given(ga_elements_1, ga_elements_1)
+def test_bar_and_inverse_of_canonical_form_are_canonical(n, d):
+    if d.is_zero():
+        return
+    r = rf_normalize(n, d)
+    barred = rf_normalize(r.num.bar(), r.den.bar())
+    assert (r.bar().num, r.bar().den) == (barred.num, barred.den)
+    if not r.is_zero():
+        swapped = rf_normalize(r.den, r.num)
+        assert (r.inverse().num, r.inverse().den) == (swapped.num, swapped.den)
+
+
 def test_rf_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         rf_normalize(GA.one(1), GA.zero(1))
@@ -218,7 +229,7 @@ def test_residue_simple_pole():
     # (q-1) X / (X - 1): residue at X = 1 is q - 1
     f = rf_normalize(x_poly({1: q(1) - one}), x_poly({1: one, 0: -one}))
     res = f.residue1(QLaurent.one())
-    assert res == QLFrac(q(1) - one)
+    assert res == RationalFunction.const(q(1) - one)
     assert f.residue1(QLaurent.const(-1)).is_zero()
 
 

@@ -14,6 +14,7 @@ from mphecke.rankone import (
     j_square_check,
     mu_build,
     mu_zeros_poles,
+    quadratic_report,
     verify_quadratic,
 )
 
@@ -58,6 +59,10 @@ def test_mu_rejects_bad_exponents():
         mu_build(1, 2)
     with pytest.raises(TypeError):
         mu_build(0.5, 0)
+    # off (1/4)Z: q_power names -a first, then -b
+    for a, b, named in [(F(4, 3), 1, "-4/3"), (2, F(4, 3), "-4/3"), (F(5, 3), F(4, 3), "-5/3")]:
+        with pytest.raises(ValueError, match=f"^exponent {named} is not"):
+            mu_build(a, b)
 
 
 def test_mu_zeros_poles_10():
@@ -110,6 +115,27 @@ def test_mu_zeros_poles_against_factoring_oracle(a, b):
     zeros, poles = mu_zeros_poles(mu)
     assert dict(_monomial_roots(mu.value.num)) == {k: m for k, m in zeros}
     assert dict(_monomial_roots(mu.value.den)) == {k: m for k, m in poles}
+
+
+def _mu_from_eight_factors(a, b):
+    """Oracle: rf_normalize of the paper's eight-factor product for mu."""
+    qa, qb = q(-a), q(-b)
+    num = x_poly({0: ONE, 1: -ONE}) * x_poly({0: ONE, -1: -ONE}) \
+        * x_poly({0: ONE, 1: ONE}) * x_poly({0: ONE, -1: ONE})
+    den = x_poly({0: ONE, 1: -qa}) * x_poly({0: ONE, -1: -qa}) \
+        * x_poly({0: ONE, 1: qb}) * x_poly({0: ONE, -1: qb})
+    return rf_normalize(num, den), rf_normalize(den, num)
+
+
+QUARTER_PAIRS = [(F(i, 4), F(j, 4)) for i in range(7) for j in range(i + 1)]
+
+
+@pytest.mark.parametrize("a,b", QUARTER_PAIRS)
+def test_mu_and_inverse_are_the_canonical_eight_factor_forms(a, b):
+    mu = mu_build(a, b)
+    value, inverse = _mu_from_eight_factors(a, b)
+    assert (mu.value.num, mu.value.den) == (value.num, value.den)
+    assert (mu.inverse.num, mu.inverse.den) == (inverse.num, inverse.den)
 
 
 def test_mu_inverse_even_pole_orders_at_fixed_points():
@@ -206,6 +232,14 @@ def test_quadratic_known_instances():
 def test_quadratic_grid_all_signs(a, b):
     for eps1, epsm1 in itertools.product((1, -1), repeat=2):
         assert verify_quadratic(a, b, eps1, epsm1)
+
+
+@pytest.mark.parametrize("a,b", [(1, 0), (1, 1), (2, 1), (F(5, 4), F(1, 4))])
+def test_quadratic_report_matches_separate_checks(a, b):
+    rows = quadratic_report(a, b)
+    assert [(r["eps1"], r["epsm1"]) for r in rows] == list(itertools.product((1, -1), repeat=2))
+    for r in rows:
+        assert r["quadratic_ok"] == verify_quadratic(a, b, r["eps1"], r["epsm1"])
 
 
 def test_flipped_sign_leaves_residue():
