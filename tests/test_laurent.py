@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mphecke.laurent import (
@@ -72,6 +72,18 @@ def test_exact_div_roundtrip(a, b):
     if b.is_zero():
         return
     assert (a * b).exact_div(b) == a
+
+
+@given(qlaurents, qlaurents, st.integers(-3, 3), small_fraction)
+def test_ring_ops_store_fractions(a, b, k, x):
+    # an int coefficient would turn 1 / leading_coeff() into a float
+    out = [a + b, a - b, a * b, -a, a.scale(k), a.scale(x), a ** 2, QLaurent.gcd(a, b)]
+    if not b.is_zero():
+        out.append((a * b).exact_div(b))
+    if b.is_monomial():
+        out.append(b ** -2)
+    for r in out:
+        assert all(type(v) is Fraction for _, v in r.items())
 
 
 def test_gcd_is_monic_unitless():
@@ -217,6 +229,80 @@ def test_bar_and_inverse_of_canonical_form_are_canonical(n, d):
     if not r.is_zero():
         swapped = rf_normalize(r.den, r.num)
         assert (r.inverse().num, r.inverse().den) == (swapped.num, swapped.den)
+
+
+# Operands for the arithmetic gate.  The linear factors X - (+-q^e) of
+# one chain come from a pool of at most three, so that operands share
+# factors and the cross-cancellations and the reduction of a sum against
+# the common denominator have real work to do.  Numerators carry up to two
+# factors and denominators at most one: that keeps the unreduced cross
+# pairs, which the oracle normalises, inside the default deadline.
+_nonzero = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 2))
+_units = st.builds(lambda k, c: QLaurent({k: c}), st.sampled_from([-4, 0, 4]), _nonzero)
+_coeffs = st.dictionaries(st.sampled_from([-4, 0, 4]), _nonzero, min_size=1, max_size=2).map(QLaurent)
+_linear = st.sampled_from([x_poly({1: QLaurent.one(), 0: QLaurent({k: -s})})
+                           for k in (-4, 0, 4) for s in (1, -1)])
+
+
+def _side(coeff, shift, factors):
+    out = GA.monomial((shift,), coeff)
+    for f in factors:
+        out = out * f
+    return out
+
+
+@st.composite
+def _chains(draw):
+    pool = st.sampled_from(draw(st.lists(_linear, min_size=1, max_size=3)))
+    dens = st.builds(_side, _units, st.integers(-1, 1), st.lists(pool, max_size=1))
+    nums = st.one_of(
+        st.builds(_side, _coeffs, st.integers(-1, 1), st.lists(pool, max_size=2)),
+        st.dictionaries(st.tuples(st.integers(-1, 1)), _units, min_size=1, max_size=2).map(lambda t: GA(1, t)),
+    )
+    values = st.one_of(st.builds(rf_normalize, nums, dens), st.just(RationalFunction.zero()))
+    ops = st.lists(st.tuples(st.sampled_from("+-*/"), values), min_size=1, max_size=2)
+    return draw(values), draw(ops)
+
+
+def _naive(op, x, y):
+    """rf_normalize of the unreduced cross pair: the definition of each operation."""
+    if op == "+":
+        return rf_normalize(x.num * y.den + y.num * x.den, x.den * y.den)
+    if op == "-":
+        return rf_normalize(x.num * y.den - y.num * x.den, x.den * y.den)
+    if op == "*":
+        return rf_normalize(x.num * y.num, x.den * y.den)
+    return rf_normalize(x.num * y.den, x.den * y.num)
+
+
+def _rf(num, den):
+    return rf_normalize(x_poly(num), x_poly(den))
+
+
+_ONE, _Q = QLaurent.one(), QLaurent.q_power(1)
+_X_MINUS_1 = {1: _ONE, 0: -_ONE}
+_X_PLUS_1 = {1: _ONE, 0: _ONE}
+_X_MINUS_Q = {1: _ONE, 0: -_Q}
+
+
+@given(_chains())
+# equal denominators whose numerators sum to a multiple of them: X/(X-1) - 1/(X-1) = 1
+@example((_rf({1: _ONE}, _X_MINUS_1), [("-", _rf({0: _ONE}, _X_MINUS_1))]))
+# g = X - 1 divides both denominators and t = (q+1)(X-1):
+# 2/((X-1)(X+1)) + (q-1)/((X-1)(X-q)) = (q+1)/((X+1)(X-q))
+@example((_rf({0: QLaurent.const(2)}, _X_MINUS_1), [("*", _rf({0: _ONE}, _X_PLUS_1)),
+                                                   ("+", _rf({0: _Q - _ONE}, {2: _ONE, 1: -_Q - _ONE, 0: _Q}))]))
+def test_arithmetic_chains_give_the_canonical_pair(start_chain):
+    acc, chain = start_chain
+    for op, y in chain:
+        if op == "/" and y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                acc / y
+            continue
+        out = {"+": acc.__add__, "-": acc.__sub__, "*": acc.__mul__, "/": acc.__truediv__}[op](y)
+        ref = _naive(op, acc, y)
+        assert (out.num, out.den) == (ref.num, ref.den)
+        acc = out
 
 
 def test_rf_zero_denominator():
