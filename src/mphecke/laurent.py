@@ -16,7 +16,10 @@ Three layers:
 * :class:`RationalFunction` -- quotients of rank-1 group-algebra elements
   (rational functions in one variable ``X``) with a deterministic
   canonical form, so equality is decidable.  Elements of the field Q(u)
-  are its constants; there is no separate fraction class.
+  are its constants; there is no separate fraction class.  Products and
+  sums of canonical values reach the canonical form by Henrici's
+  cross-cancellation; :func:`rf_normalize` (the full gcd) is only for raw
+  pairs.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -24,6 +27,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 
@@ -64,6 +68,17 @@ class QLaurent:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("QLaurent is immutable")
+
+    @classmethod
+    def _trusted(cls, c: dict[int, Fraction]) -> "QLaurent":
+        """Wrap ``c`` as it is: integer keys, nonzero ``Fraction`` values.
+
+        For the ring operations, whose results already have that form;
+        the public constructor coerces and merges its input instead.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "_c", c)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -127,26 +142,37 @@ class QLaurent:
     def __add__(self, other: "QLaurent") -> "QLaurent":
         c = dict(self._c)
         for k, v in other._c.items():
-            c[k] = c.get(k, Fraction(0)) + v
-        return QLaurent(c)
+            s = c.get(k)
+            if s is None:
+                c[k] = v
+            else:
+                s += v
+                if s:
+                    c[k] = s
+                else:
+                    del c[k]
+        return QLaurent._trusted(c)
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         return self + (-other)
 
     def __neg__(self) -> "QLaurent":
-        return QLaurent({k: -v for k, v in self._c.items()})
+        return QLaurent._trusted({k: -v for k, v in self._c.items()})
 
     def __mul__(self, other: "QLaurent") -> "QLaurent":
         c: dict[int, Fraction] = {}
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():
                 k = k1 + k2
-                c[k] = c.get(k, Fraction(0)) + v1 * v2
-        return QLaurent(c)
+                s = c.get(k)
+                c[k] = v1 * v2 if s is None else s + v1 * v2
+        return QLaurent._trusted({k: v for k, v in c.items() if v})
 
     def scale(self, x) -> "QLaurent":
         x = _as_fraction(x)
-        return QLaurent({k: v * x for k, v in self._c.items()})
+        if not x:
+            return QLaurent.zero()
+        return QLaurent._trusted({k: v * x for k, v in self._c.items()})
 
     def __pow__(self, n: int) -> "QLaurent":
         if n < 0:
@@ -195,7 +221,7 @@ class QLaurent:
 
     @staticmethod
     def _from_dense(val: int, coeffs: Sequence[Fraction]) -> "QLaurent":
-        return QLaurent({val + i: c for i, c in enumerate(coeffs) if c})
+        return QLaurent._trusted({val + i: c for i, c in enumerate(coeffs) if c})
 
     def exact_div(self, den: "QLaurent") -> "QLaurent":
         """Exact quotient in Q[u, u^-1]; raises :class:`NotDivisible`."""
@@ -509,10 +535,6 @@ class GroupAlgebraElement:
             out = out + c * point ** (val + i)
         return out
 
-    def content(self) -> QLaurent:
-        """Monic gcd of all coefficients (zero for the zero element)."""
-        return _content(self._t.values())
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -542,11 +564,19 @@ class RationalFunction:
     function in one variable ``X`` over Q(u).
 
     Every value is in the canonical form produced by :func:`rf_normalize`:
-    build values with it or with :meth:`from_ga`.  The raw constructor
-    keeps the pair it is given, so it takes only pairs that are already
-    canonical (as the rank-one ``mu`` and its inverse are by
+    build values from raw pairs with it or with :meth:`from_ga`.  The raw
+    constructor keeps the pair it is given, so it takes only pairs that
+    are already canonical (as the rank-one ``mu`` and its inverse are by
     construction); ``__hash__`` relies on that.  Equality is decided by
     cross-multiplication, independently of the form.
+
+    The operators never normalise a raw cross pair.  Their operands are
+    reduced, so ``*`` cancels each numerator only against the other
+    denominator and ``+`` reduces its new numerator only against the gcd
+    of the two denominators (Henrici, JACM 3(1), 1956; Knuth, TAOCP
+    vol. 2, 4.5.1).  Q[u^+-1][X^+-1] is a UFD, so any reduced pair is the
+    canonical one up to a unit c u^k X^j, which :func:`_fix_units` fixes:
+    the result is the pair that :func:`rf_normalize` gives.
     """
 
     __slots__ = ("num", "den")
@@ -581,7 +611,22 @@ class RationalFunction:
         return self.num.is_zero()
 
     def __add__(self, o: "RationalFunction") -> "RationalFunction":
-        return rf_normalize(self.num * o.den + o.num * self.den, self.den * o.den)
+        # Henrici: with g = gcd(d1, d2), the sum is t / (d1/g d2/g g) for
+        # t = n1 d2/g + n2 d1/g, and t is coprime to d1/g and d2/g, so only
+        # its gcd with g is left to cancel.
+        if self.is_zero():
+            return o
+        if o.is_zero():
+            return self
+        if self.den == o.den:
+            t = self.num + o.num
+            return RationalFunction.zero() if t.is_zero() else _fix_units(*_reduce(t, self.den))
+        d1, d2 = _reduce(self.den, o.den)
+        t = self.num * d2 + o.num * d1
+        if t.is_zero():
+            return RationalFunction.zero()
+        t, g = _reduce(t, self.den.exact_div(d1))
+        return _fix_units(t, d1 * d2 * g)
 
     def __sub__(self, o: "RationalFunction") -> "RationalFunction":
         return self + (-o)
@@ -590,12 +635,14 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __mul__(self, o: "RationalFunction") -> "RationalFunction":
-        return rf_normalize(self.num * o.num, self.den * o.den)
+        if self.is_zero() or o.is_zero():
+            return RationalFunction.zero()
+        n1, d2 = _reduce(self.num, o.den)
+        n2, d1 = _reduce(o.num, self.den)
+        return _fix_units(n1 * n2, d1 * d2)
 
     def __truediv__(self, o: "RationalFunction") -> "RationalFunction":
-        if o.is_zero():
-            raise ZeroDivisionError
-        return rf_normalize(self.num * o.den, self.den * o.num)
+        return self * o.inverse()
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
@@ -687,31 +734,40 @@ def _xgcd_primitive(a: list[QLaurent], b: list[QLaurent]) -> list[QLaurent]:
 
 
 def rf_normalize(num: GroupAlgebraElement, den: GroupAlgebraElement) -> RationalFunction:
-    """Canonical form of num/den for rank-1 elements.
+    """Canonical form of a raw pair num/den of rank-1 elements.
 
-    Divide out the full polynomial gcd (primitive pseudo-remainder
-    sequence over Q[u,u^-1]), remove joint content, and normalise so the
-    denominator has lattice valuation 0 and a monic leading coefficient.
-    Elements of any other rank raise ValueError.
+    Divide out the full gcd (:func:`_reduce`) and normalise the units so
+    the denominator has lattice valuation 0 and a monic leading
+    coefficient.  Elements of any other rank raise ValueError.  The
+    arithmetic of :class:`RationalFunction` does not come through here:
+    it cancels only where its canonical operands can share factors.
     """
     _check_rank1(num, den)
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return RationalFunction.zero()
+    return _fix_units(*_reduce(num, den))
 
-    g = _xgcd_primitive(num.dense1()[1], den.dense1()[1])
-    if len(g) > 1:
-        g_ga = GroupAlgebraElement.from_dense1(0, g)
-        num = num.exact_div(g_ga)
-        den = den.exact_div(g_ga)
 
-    # joint coefficient content
-    g = QLaurent.gcd(num.content(), den.content())
-    if not g.is_one() and not g.is_zero():
-        num = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in num.terms()})
-        den = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in den.terms()})
-    return _fix_units(num, den)
+def _reduce(a: GroupAlgebraElement, b: GroupAlgebraElement) -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
+    """``(a/g, b/g)`` for the full gcd g of two nonzero rank-1 elements.
+
+    g is the gcd of the X-parts (primitive pseudo-remainder sequence over
+    Q[u,u^-1]) times the joint content.  A side with a single term
+    c u^k X^j has no X-factor, so only the content can be shared and the
+    sequence is skipped.
+    """
+    if len(a._t) > 1 and len(b._t) > 1:
+        g = _xgcd_primitive(a.dense1()[1], b.dense1()[1])
+        if len(g) > 1:
+            g_ga = GroupAlgebraElement.from_dense1(0, g)
+            a, b = a.exact_div(g_ga), b.exact_div(g_ga)
+    g = _content(chain(b._t.values(), a._t.values()))
+    if not g.is_one():
+        a = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in a._t.items()})
+        b = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in b._t.items()})
+    return a, b
 
 
 def _fix_units(num: GroupAlgebraElement, den: GroupAlgebraElement) -> RationalFunction:

@@ -260,16 +260,36 @@ def build_Ts(a, b, eps1: int, epsm1: int) -> RankOneElement:
     return RankOneElement(f, g)
 
 
-def _check_squared_specialisations(mu: MuFunction, w1: QLaurent, wm1: QLaurent):
-    """The squares of the boundary scalars must match (X -+ 1)(X^-1 -+ 1) mu^-1."""
-    for point, corr, w in (
-        (ONE, _rf({0: QLaurent.const(2), 1: MINUS_ONE, -1: MINUS_ONE}), w1),
-        (MINUS_ONE, _rf({0: QLaurent.const(2), 1: ONE, -1: ONE}), wm1),
-    ):
-        expected = corr * mu.inverse
-        if expected.num.eval1(point) != (w * w) * expected.den.eval1(point):
+def _squared_specialisations(mu: MuFunction) -> tuple[QLaurent, QLaurent]:
+    """(X-1)(X^-1-1) mu^-1 at X = 1 and (X+1)(X^-1+1) mu^-1 at X = -1, with no gcd.
+
+    For s = +-1, (X - s)(X^-1 - s) = -s (X - s)^2 / X, and -s/X is -1 at
+    X = s.  The square cancels the double zero of mu at s if mu has one
+    (a > 0 for s = 1, b > 0 for s = -1), and what is left of
+    mu^-1 = q^-(a+b) prod (X - p)^m / prod (X - z)^m is regular at s;
+    otherwise mu^-1 is regular at s and the square makes the value 0.
+    """
+    zeros, _ = mu_zeros_poles(mu)
+    values = []
+    for sign in (1, -1):
+        point = QLaurent.const(sign)
+        if ((sign, 0), 2) not in zeros:
+            values.append(QLaurent.zero())
+            continue
+        rest = _root_product(ONE, [z for z in zeros if z[0] != (sign, 0)])
+        values.append(-mu.inverse.num.eval1(point).exact_div(rest.eval1(point)))
+    return values[0], values[1]
+
+
+def _check_squared_specialisations(squares: tuple[QLaurent, QLaurent], w1: QLaurent, wm1: QLaurent):
+    """The squares of the boundary scalars must match (X -+ 1)(X^-1 -+ 1) mu^-1 at X = +-1.
+
+    ``squares`` is :func:`_squared_specialisations` of mu.
+    """
+    for point, value, w in ((ONE, squares[0], w1), (MINUS_ONE, squares[1], wm1)):
+        if value != w * w:
             raise InconsistentSigns(
-                f"specialisation square at X={point} is {expected.eval1(point)}, signs give {w * w}")
+                f"specialisation square at X={point} is {RationalFunction.const(value)}, signs give {w * w}")
 
 
 def verify_quadratic(a, b, eps1: int, epsm1: int, build_signs: tuple[int, int] | None = None) -> bool:
@@ -284,14 +304,15 @@ def verify_quadratic(a, b, eps1: int, epsm1: int, build_signs: tuple[int, int] |
     Returns True iff both coordinates of the symbolic expansion vanish
     and the poles of J cancel inside T at X = +-1.
     """
-    return _quadratic_holds(RankOneAlgebra(mu_build(a, b)), eps1, epsm1, build_signs)
+    mu = mu_build(a, b)
+    return _quadratic_holds(RankOneAlgebra(mu), _squared_specialisations(mu), eps1, epsm1, build_signs)
 
 
-def _quadratic_holds(alg: RankOneAlgebra, eps1: int, epsm1: int,
+def _quadratic_holds(alg: RankOneAlgebra, squares: tuple[QLaurent, QLaurent], eps1: int, epsm1: int,
                      build_signs: tuple[int, int] | None = None) -> bool:
     a, b = alg.mu.a, alg.mu.b
     w1, wm1 = boundary_scalars(a, b, eps1, epsm1)
-    _check_squared_specialisations(alg.mu, w1, wm1)
+    _check_squared_specialisations(squares, w1, wm1)
 
     bs = build_signs if build_signs is not None else (eps1, epsm1)
     T = build_Ts(a, b, *bs)
@@ -321,6 +342,7 @@ def quadratic_report(a, b) -> list[dict]:
     Zeros and poles are ``[sign, e, mult]`` lists.
     """
     alg = RankOneAlgebra(mu_build(a, b))
+    squares = _squared_specialisations(alg.mu)
     zeros, poles = mu_zeros_poles(alg.mu)
     zeros = [[s, e, m] for (s, e), m in zeros]
     poles = [[s, e, m] for (s, e), m in poles]
@@ -329,7 +351,7 @@ def quadratic_report(a, b) -> list[dict]:
         "b": alg.mu.b,
         "eps1": eps1,
         "epsm1": epsm1,
-        "quadratic_ok": _quadratic_holds(alg, eps1, epsm1),
+        "quadratic_ok": _quadratic_holds(alg, squares, eps1, epsm1),
         "mu_zeros": zeros,
         "mu_poles": poles,
     } for eps1 in (1, -1) for epsm1 in (1, -1)]

@@ -7,7 +7,10 @@ import pytest
 from mphecke.laurent import GroupAlgebraElement as GA
 from mphecke.laurent import QLaurent, RationalFunction, rf_normalize
 from mphecke.rankone import (
+    InconsistentSigns,
     RankOneAlgebra,
+    _check_squared_specialisations,
+    _squared_specialisations,
     RankOneElement,
     boundary_scalars,
     build_Ts,
@@ -136,6 +139,28 @@ def test_mu_and_inverse_are_the_canonical_eight_factor_forms(a, b):
     value, inverse = _mu_from_eight_factors(a, b)
     assert (mu.value.num, mu.value.den) == (value.num, value.den)
     assert (mu.inverse.num, mu.inverse.den) == (inverse.num, inverse.den)
+
+
+def _specialisations_by_product(mu):
+    """Oracle: the product (X -+ 1)(X^-1 -+ 1) * mu^-1 as a rational function, at X = +-1."""
+    two = QLaurent.const(2)
+    return [(rf({0: two, 1: -ONE, -1: -ONE}) * mu.inverse).eval1(ONE),
+            (rf({0: two, 1: ONE, -1: ONE}) * mu.inverse).eval1(-ONE)]
+
+
+@pytest.mark.parametrize("a,b", [(F(i, 4), F(j, 4)) for i in range(13) for j in range(i + 1)])
+def test_squared_specialisations_match_the_product(a, b):
+    mu = mu_build(a, b)
+    values = [RationalFunction.const(v) for v in _squared_specialisations(mu)]
+    expected = _specialisations_by_product(mu)
+    assert [(v.num, v.den) for v in values] == [(e.num, e.den) for e in expected]
+
+
+def test_inconsistent_squares_are_reported():
+    mu = mu_build(2, 1)
+    w1, wm1 = boundary_scalars(F(2), F(1), 1, 1)
+    with pytest.raises(InconsistentSigns, match=r"^specialisation square at X=1 is \(GA\("):
+        _check_squared_specialisations(_squared_specialisations(mu), w1 + ONE, wm1)
 
 
 def test_mu_inverse_even_pole_orders_at_fixed_points():
