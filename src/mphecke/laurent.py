@@ -611,9 +611,9 @@ class RationalFunction:
         return self.num.is_zero()
 
     def __add__(self, o: "RationalFunction") -> "RationalFunction":
-        # Henrici: with g = gcd(d1, d2), the sum is t / (d1/g d2/g g) for
-        # t = n1 d2/g + n2 d1/g, and t is coprime to d1/g and d2/g, so only
-        # its gcd with g is left to cancel.
+        # Henrici: with g = gcd(d1, d2) and the cofactors e1 = d1/g and
+        # e2 = d2/g, the sum is t / (e1 e2 g) for t = n1 e2 + n2 e1.  t is
+        # coprime to e1 and e2, so only its gcd with g = d1/e1 is left.
         if self.is_zero():
             return o
         if o.is_zero():
@@ -621,12 +621,12 @@ class RationalFunction:
         if self.den == o.den:
             t = self.num + o.num
             return RationalFunction.zero() if t.is_zero() else _fix_units(*_reduce(t, self.den))
-        d1, d2 = _reduce(self.den, o.den)
-        t = self.num * d2 + o.num * d1
+        e1, e2 = _reduce(self.den, o.den)
+        t = self.num * e2 + o.num * e1
         if t.is_zero():
             return RationalFunction.zero()
-        t, g = _reduce(t, self.den.exact_div(d1))
-        return _fix_units(t, d1 * d2 * g)
+        t, g = _reduce(t, self.den.exact_div(e1))
+        return _fix_units(t, e1 * e2 * g)
 
     def __sub__(self, o: "RationalFunction") -> "RationalFunction":
         return self + (-o)

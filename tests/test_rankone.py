@@ -9,9 +9,9 @@ from mphecke.laurent import QLaurent, RationalFunction, rf_normalize
 from mphecke.rankone import (
     InconsistentSigns,
     RankOneAlgebra,
+    RankOneElement,
     _check_squared_specialisations,
     _squared_specialisations,
-    RankOneElement,
     boundary_scalars,
     build_Ts,
     j_square_check,
