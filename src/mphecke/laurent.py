@@ -142,16 +142,8 @@ class QLaurent:
     def __add__(self, other: "QLaurent") -> "QLaurent":
         c = dict(self._c)
         for k, v in other._c.items():
-            s = c.get(k)
-            if s is None:
-                c[k] = v
-            else:
-                s += v
-                if s:
-                    c[k] = s
-                else:
-                    del c[k]
-        return QLaurent._trusted(c)
+            c[k] = c[k] + v if k in c else v
+        return QLaurent._trusted({k: v for k, v in c.items() if v})
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         return self + (-other)
@@ -733,6 +725,26 @@ def _xgcd_primitive(a: list[QLaurent], b: list[QLaurent]) -> list[QLaurent]:
     return a
 
 
+_POINT = Fraction(13, 7)
+
+
+def _coprime_at_a_point(a: list[QLaurent], b: list[QLaurent]) -> bool:
+    """True if u = 13/7 shows that a and b (ascending X-coefficients) have no common X-factor.
+
+    Let g be their gcd in Q[u,u^-1][X].  Where the leading coefficient of
+    a does not vanish, neither does that of g, so g(u0) keeps the degree
+    of g and divides a(u0) and b(u0) in Q[X].  A constant gcd of the two
+    specialisations therefore proves deg g = 0.  False proves nothing.
+    """
+    pa = [sum((v * _POINT ** k for k, v in c.items()), Fraction(0)) for c in a]
+    if not pa[-1]:
+        return False
+    pb = [sum((v * _POINT ** k for k, v in c.items()), Fraction(0)) for c in b]
+    if not any(pb):
+        return False
+    return len(_int_polygcd(_int_normalize(pa), _int_normalize(pb))) == 1
+
+
 def rf_normalize(num: GroupAlgebraElement, den: GroupAlgebraElement) -> RationalFunction:
     """Canonical form of a raw pair num/den of rank-1 elements.
 
@@ -755,11 +767,13 @@ def _reduce(a: GroupAlgebraElement, b: GroupAlgebraElement) -> tuple[GroupAlgebr
 
     g is the gcd of the X-parts (primitive pseudo-remainder sequence over
     Q[u,u^-1]) times the joint content.  A side with a single term
-    c u^k X^j has no X-factor, so only the content can be shared and the
-    sequence is skipped.
+    c X^j, c in Q[u,u^-1], has no X-factor, so only the content can be
+    shared and the sequence is skipped; so it is when one point u0 shows
+    that the X-parts are coprime.
     """
     if len(a._t) > 1 and len(b._t) > 1:
-        g = _xgcd_primitive(a.dense1()[1], b.dense1()[1])
+        da, db = a.dense1()[1], b.dense1()[1]
+        g = [] if _coprime_at_a_point(da, db) else _xgcd_primitive(da, db)
         if len(g) > 1:
             g_ga = GroupAlgebraElement.from_dense1(0, g)
             a, b = a.exact_div(g_ga), b.exact_div(g_ga)

@@ -180,6 +180,7 @@ class RankOneAlgebra:
     def __init__(self, mu: MuFunction):
         self.mu = mu
         self.mu_inv = mu.inverse
+        self.squares = _squared_specialisations(mu)
 
     def zero(self) -> RankOneElement:
         return RankOneElement(RationalFunction.zero(), RationalFunction.zero())
@@ -281,12 +282,9 @@ def _squared_specialisations(mu: MuFunction) -> tuple[QLaurent, QLaurent]:
     return values[0], values[1]
 
 
-def _check_squared_specialisations(squares: tuple[QLaurent, QLaurent], w1: QLaurent, wm1: QLaurent):
-    """The squares of the boundary scalars must match (X -+ 1)(X^-1 -+ 1) mu^-1 at X = +-1.
-
-    ``squares`` is :func:`_squared_specialisations` of mu.
-    """
-    for point, value, w in ((ONE, squares[0], w1), (MINUS_ONE, squares[1], wm1)):
+def _check_squared_specialisations(alg: RankOneAlgebra, w1: QLaurent, wm1: QLaurent):
+    """The squares of the boundary scalars must match (X -+ 1)(X^-1 -+ 1) mu^-1 at X = +-1."""
+    for point, value, w in ((ONE, alg.squares[0], w1), (MINUS_ONE, alg.squares[1], wm1)):
         if value != w * w:
             raise InconsistentSigns(
                 f"specialisation square at X={point} is {RationalFunction.const(value)}, signs give {w * w}")
@@ -304,15 +302,14 @@ def verify_quadratic(a, b, eps1: int, epsm1: int, build_signs: tuple[int, int] |
     Returns True iff both coordinates of the symbolic expansion vanish
     and the poles of J cancel inside T at X = +-1.
     """
-    mu = mu_build(a, b)
-    return _quadratic_holds(RankOneAlgebra(mu), _squared_specialisations(mu), eps1, epsm1, build_signs)
+    return _quadratic_holds(RankOneAlgebra(mu_build(a, b)), eps1, epsm1, build_signs)
 
 
-def _quadratic_holds(alg: RankOneAlgebra, squares: tuple[QLaurent, QLaurent], eps1: int, epsm1: int,
+def _quadratic_holds(alg: RankOneAlgebra, eps1: int, epsm1: int,
                      build_signs: tuple[int, int] | None = None) -> bool:
     a, b = alg.mu.a, alg.mu.b
     w1, wm1 = boundary_scalars(a, b, eps1, epsm1)
-    _check_squared_specialisations(squares, w1, wm1)
+    _check_squared_specialisations(alg, w1, wm1)
 
     bs = build_signs if build_signs is not None else (eps1, epsm1)
     T = build_Ts(a, b, *bs)
@@ -342,7 +339,6 @@ def quadratic_report(a, b) -> list[dict]:
     Zeros and poles are ``[sign, e, mult]`` lists.
     """
     alg = RankOneAlgebra(mu_build(a, b))
-    squares = _squared_specialisations(alg.mu)
     zeros, poles = mu_zeros_poles(alg.mu)
     zeros = [[s, e, m] for (s, e), m in zeros]
     poles = [[s, e, m] for (s, e), m in poles]
@@ -351,7 +347,7 @@ def quadratic_report(a, b) -> list[dict]:
         "b": alg.mu.b,
         "eps1": eps1,
         "epsm1": epsm1,
-        "quadratic_ok": _quadratic_holds(alg, squares, eps1, epsm1),
+        "quadratic_ok": _quadratic_holds(alg, eps1, epsm1),
         "mu_zeros": zeros,
         "mu_poles": poles,
     } for eps1 in (1, -1) for epsm1 in (1, -1)]

@@ -9,6 +9,7 @@ from mphecke.laurent import (
     NotDivisible,
     QLaurent,
     RationalFunction,
+    _coprime_at_a_point,
     rf_normalize,
 )
 
@@ -234,9 +235,11 @@ def test_bar_and_inverse_of_canonical_form_are_canonical(n, d):
 # Operands for the arithmetic gate.  The linear factors X - (+-q^e) of
 # one chain come from a pool of at most three, so that operands share
 # factors and the cross-cancellations and the reduction of a sum against
-# the common denominator have real work to do.  Numerators carry up to two
-# factors and denominators at most one: that keeps the unreduced cross
-# pairs, which the oracle normalises, inside the default deadline.
+# the common denominator have real work to do.  Denominators take a
+# coefficient of one or two terms, so two of them can share a content that
+# is not a unit.  Numerators carry up to two factors and denominators at
+# most one: that keeps the unreduced cross pairs, which the oracle
+# normalises, inside the default deadline.
 _nonzero = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 2))
 _units = st.builds(lambda k, c: QLaurent({k: c}), st.sampled_from([-4, 0, 4]), _nonzero)
 _coeffs = st.dictionaries(st.sampled_from([-4, 0, 4]), _nonzero, min_size=1, max_size=2).map(QLaurent)
@@ -254,7 +257,7 @@ def _side(coeff, shift, factors):
 @st.composite
 def _chains(draw):
     pool = st.sampled_from(draw(st.lists(_linear, min_size=1, max_size=3)))
-    dens = st.builds(_side, _units, st.integers(-1, 1), st.lists(pool, max_size=1))
+    dens = st.builds(_side, st.one_of(_units, _coeffs), st.integers(-1, 1), st.lists(pool, max_size=1))
     nums = st.one_of(
         st.builds(_side, _coeffs, st.integers(-1, 1), st.lists(pool, max_size=2)),
         st.dictionaries(st.tuples(st.integers(-1, 1)), _units, min_size=1, max_size=2).map(lambda t: GA(1, t)),
@@ -282,7 +285,7 @@ def _rf(num, den):
 _ONE, _Q = QLaurent.one(), QLaurent.q_power(1)
 _X_MINUS_1 = {1: _ONE, 0: -_ONE}
 _X_PLUS_1 = {1: _ONE, 0: _ONE}
-_X_MINUS_Q = {1: _ONE, 0: -_Q}
+_Q_PLUS_1 = _Q + _ONE
 
 
 @given(_chains())
@@ -292,6 +295,12 @@ _X_MINUS_Q = {1: _ONE, 0: -_Q}
 # 2/((X-1)(X+1)) + (q-1)/((X-1)(X-q)) = (q+1)/((X+1)(X-q))
 @example((_rf({0: QLaurent.const(2)}, _X_MINUS_1), [("*", _rf({0: _ONE}, _X_PLUS_1)),
                                                    ("+", _rf({0: _Q - _ONE}, {2: _ONE, 1: -_Q - _ONE, 0: _Q}))]))
+# the denominators share the content q + 1, which g carries and t does not:
+# 1/((q+1)(X-1)) + 1/((q+1)X) = (2 - X^-1)/((q+1)(X-1))
+@example((_rf({0: _ONE}, {1: _Q_PLUS_1, 0: -_Q_PLUS_1}), [("+", _rf({0: _ONE}, {1: _Q_PLUS_1}))]))
+# and t shares it too: (q+2-X)/((q+1)(X-1)) + 1/(q+1) = 1/(X-1)
+@example((_rf({0: _Q_PLUS_1 + _ONE, 1: -_ONE}, {1: _Q_PLUS_1, 0: -_Q_PLUS_1}),
+          [("+", _rf({0: _ONE}, {0: _Q_PLUS_1}))]))
 def test_arithmetic_chains_give_the_canonical_pair(start_chain):
     acc, chain = start_chain
     for op, y in chain:
@@ -303,6 +312,26 @@ def test_arithmetic_chains_give_the_canonical_pair(start_chain):
         ref = _naive(op, acc, y)
         assert (out.num, out.den) == (ref.num, ref.den)
         acc = out
+
+
+@given(ga_elements_1, ga_elements_1, ga_elements_1)
+def test_a_common_x_factor_is_never_certified_away(a, b, g):
+    # g has X-degree >= 1 once it has two terms, so a g and b g share it
+    if a.is_zero() or b.is_zero() or len(g.terms()) < 2:
+        return
+    assert not _coprime_at_a_point((a * g).dense1()[1], (b * g).dense1()[1])
+
+
+def test_coprime_at_a_point_certifies_and_abstains():
+    u = QLaurent.u_power
+    # the pair that took about 200 ms through the pseudo-remainder sequence
+    n = GA(1, {(-2,): u(1, Fraction(1, 3)), (0,): u(0) + u(1) + u(2), (3,): q(-1) + u(3)})
+    d = GA(1, {(-2,): u(0) + u(3), (1,): u(0), (3,): u(0)})
+    assert _coprime_at_a_point(n.dense1()[1], d.dense1()[1])
+    # X - u and X - 13/7 are coprime but share the root of their specialisations
+    assert not _coprime_at_a_point([-u(1), u(0)], [QLaurent.const(Fraction(-13, 7)), u(0)])
+    # a leading coefficient that vanishes at the point proves nothing either
+    assert not _coprime_at_a_point([u(0), u(1, 7) - u(0, 13)], [u(0), u(0)])
 
 
 def test_rf_zero_denominator():

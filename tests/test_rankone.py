@@ -160,7 +160,7 @@ def test_inconsistent_squares_are_reported():
     mu = mu_build(2, 1)
     w1, wm1 = boundary_scalars(F(2), F(1), 1, 1)
     with pytest.raises(InconsistentSigns, match=r"^specialisation square at X=1 is \(GA\("):
-        _check_squared_specialisations(_squared_specialisations(mu), w1 + ONE, wm1)
+        _check_squared_specialisations(RankOneAlgebra(mu), w1 + ONE, wm1)
 
 
 def test_mu_inverse_even_pole_orders_at_fixed_points():
