@@ -731,10 +731,11 @@ _POINT = Fraction(13, 7)
 def _coprime_at_a_point(a: list[QLaurent], b: list[QLaurent]) -> bool:
     """True if u = 13/7 shows that a and b (ascending X-coefficients) have no common X-factor.
 
-    Let g be their gcd in Q[u,u^-1][X].  Where the leading coefficient of
-    a does not vanish, neither does that of g, so g(u0) keeps the degree
-    of g and divides a(u0) and b(u0) in Q[X].  A constant gcd of the two
-    specialisations therefore proves deg g = 0.  False proves nothing.
+    Let g be their gcd in Q[u,u^-1][X] and u0 = 13/7.  Where the leading
+    coefficient of a does not vanish at u0, neither does that of g, so
+    g(u0) keeps the degree of g and divides a(u0) and b(u0) in Q[X].  A
+    constant gcd of the two specialisations therefore proves deg g = 0.
+    False proves nothing.
     """
     pa = [sum((v * _POINT ** k for k, v in c.items()), Fraction(0)) for c in a]
     if not pa[-1]:
