@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from mphecke.rootdata import (
     braid_order,
     build_O_datum,
     classical_datum,
+    pair,
     weyl_enumerate,
     weyl_length,
 )
@@ -111,6 +113,19 @@ def test_commute_zu_rank_one():
     assert corr == expected
 
 
+def test_commute_zu_gl2_negative_and_long_sums():
+    d, p = gl2()
+    qa1 = q(1) - QLaurent.one()
+    # n = -1: -(q - 1) Z_{lam + alpha}
+    assert commute_zu_ga((0, 1), 0, d, p) == GA.monomial((1, 0), -qa1)
+    # n = 3: (q - 1)(Z_lam + Z_{lam - alpha} + Z_{lam - 2 alpha})
+    expected = GA.monomial((2, -1)) + GA.monomial((1, 0)) + GA.monomial((0, 1))
+    assert commute_zu_ga((2, -1), 0, d, p) == expected.scale(qa1)
+    # n = -2: -(q - 1)(Z_{lam + alpha} + Z_{lam + 2 alpha})
+    expected = GA.monomial((0, 0)) + GA.monomial((1, -1))
+    assert commute_zu_ga((-1, 1), 0, d, p) == expected.scale(-qa1)
+
+
 def test_commute_zu_special_branch():
     d, p = b2(F(1), F(3, 2), F(1, 2))
     # short root e_2: coroot (0, 2) in 2 Lambda^; lam = e_2
@@ -119,6 +134,85 @@ def test_commute_zu_special_branch():
     factor = GA.const(2, qa - QLaurent.one()) + GA.monomial((0, -1), q(1) - q(F(1, 2)))
     expected = factor * GA.monomial((0, 1))
     assert corr == expected
+
+
+def test_commute_zu_special_branch_negative_and_long_sums():
+    d, p = b2(F(1), F(3, 2), F(1, 2))
+    a, b = q(F(3, 2)) - QLaurent.one(), q(1) - q(F(1, 2))
+    # lam = -e_2, n = -2: -factor * Z_{lam + 2 alpha}
+    expected = GA.monomial((0, 1), -a) + GA.monomial((0, 0), -b)
+    assert commute_zu_ga((0, -1), 1, d, p) == expected
+    # lam = 2 e_2, n = 4: factor * (Z_lam + Z_{lam - 2 alpha})
+    expected = (GA.monomial((0, 2), a) + GA.monomial((0, 1), b)
+                + GA.monomial((0, 0), a) + GA.monomial((0, -1), b))
+    assert commute_zu_ga((0, 2), 1, d, p) == expected
+    # lam = e_1 - 2 e_2, n = -4: -factor * (Z_{lam + 2 alpha} + Z_{lam + 4 alpha})
+    expected = (GA.monomial((1, 0), -a) + GA.monomial((1, -1), -b)
+                + GA.monomial((1, 2), -a) + GA.monomial((1, 1), -b))
+    assert commute_zu_ga((1, -2), 1, d, p) == expected
+
+
+def _commute_by_division(lam, i, d, p):
+    """Z_lam U_s - U_s Z_{s lam} by the long division that the closed form replaced."""
+    root, coroot = d.simple_pairs()[i]
+    n = pair(lam, coroot)
+    if n.denominator != 1:
+        raise ValueError(f"{lam} pairs non-integrally with the coroot of simple {i}")
+    n = int(n)
+    if n == 0:
+        return GA.zero(d.rank)
+    alpha = tuple(int(x) for x in root)
+    lam = tuple(int(x) for x in lam)
+    slam = tuple(a - n * b for a, b in zip(lam, alpha))
+    diff = GA.monomial(lam) - GA.monomial(slam)
+    one = QLaurent.one()
+    if not p.special_simple(i):
+        den = GA.one(d.rank) - GA.monomial(tuple(-x for x in alpha))
+        return diff.exact_div(den).scale(p.q_alpha(i) - one)
+    if n % 2:
+        raise ValueError("coroot in 2 Lambda^ forces even pairings; malformed lattice vector")
+    a, b = p.alpha_exp[i], p.qi_for_simple(i)
+    factor = GA.const(d.rank, p.q_alpha(i) - one) + \
+        GA.monomial(tuple(-x for x in alpha), q((a + b) / 2) - q((a - b) / 2))
+    den = GA.one(d.rank) - GA.monomial(tuple(-2 * x for x in alpha))
+    return factor * diff.exact_div(den)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)._t
+    except ValueError as e:
+        return type(e), str(e)
+
+
+_GATE_DATA = [("GL", 2), ("GL", 3), ("SO_odd", 5), ("SO_odd", 7), ("Sp", 4), ("Sp", 6),
+              ("SO_even", 4), ("SO_even", 6), [("A1", 2, 1), ("A1", 2, 1)], [("A1", 2, 2)]]
+
+
+@pytest.mark.parametrize("spec", _GATE_DATA, ids=str)
+def test_commute_zu_matches_the_division_formula(spec):
+    """Every lam in [-3, 3]^rank, every simple root, a(alpha) in {0, 1, 3/2}.
+
+    q_i in {0, 1/2} where the datum needs one.  Lattice vectors with a half
+    in the last slot reach the odd-pairing error of the 2 Lambda^ branch.
+    """
+    if isinstance(spec, tuple):
+        d, _ = classical_datum(*spec)
+    else:
+        d = build_O_datum(spec, 2 * len(spec))
+    params = []
+    for a in (F(0), F(1), F(3, 2)):
+        try:
+            params.append(HeckeParams(d, (a,) * d.num_simples()))
+        except InvalidParameters:
+            params += [HeckeParams(d, (a,) * d.num_simples(), {0: b}) for b in (F(0), F(1, 2))]
+    grid = list(itertools.product(range(-3, 4), repeat=d.rank))
+    lams = grid + [lam[:-1] + (lam[-1] + F(1, 2),) for lam in grid[:49]]
+    for p in params:
+        for i in range(d.num_simples()):
+            for lam in lams:
+                got = _outcome(commute_zu_ga, lam, i, d, p)
+                assert got == _outcome(_commute_by_division, lam, i, d, p), (lam, i, p)
 
 
 # -- products ----------------------------------------------------------------------
