@@ -9,8 +9,17 @@ generators with the two-case commutation rule
         (q_a - 1 + Z_{-a}((q_a q_i)^(1/2) - (q_a / q_i)^(1/2)))
             * (Z_lam - Z_{s lam}) / (1 - Z_{-2a})               if a^ in 2L^
 
-(both divisions are exact for lattice lam) and contracts ``U_s U_w`` by
-the quadratic relation ``(U_s + 1)(U_s - q_a) = 0`` when the length drops.
+and contracts ``U_s U_w`` by the quadratic relation
+``(U_s + 1)(U_s - q_a) = 0`` when the length drops.  Both quotients are
+finite geometric sums, built term by term with no division: with
+``beta = a`` (``2a`` in the second case) and ``c = <lam, a^>``
+(``<lam, a^>/2``), so that ``s lam = lam - c beta``,
+(Z_lam - Z_{lam - c beta}) / (1 - Z_{-beta}) is
+
+    sum_{k=0}^{c-1} Z_{lam - k beta}       if c > 0
+    -sum_{k=1}^{-c} Z_{lam + k beta}       if c < 0
+
+(Lusztig, JAMS 2(3), 1989, section 3).
 
 Parameters are carried as exact exponents of ``q``: ``q_a = q^{a(alpha)}``
 per simple root and ``q_i = q^{b(i)}`` per type-B component whose short
@@ -130,35 +139,33 @@ class HeckeParams:
 # ---------------------------------------------------------------------------
 
 def commute_zu_ga(lam: Sequence[int], i: int, d: BasedRootDatum, p: HeckeParams) -> GroupAlgebraElement:
-    """The lattice-part correction Z_lam U_s - U_s Z_{s lam} for s = s_i."""
+    """The lattice-part correction Z_lam U_s - U_s Z_{s lam} for s = s_i.
+
+    The quotient is built as the geometric sum of the module docstring.
+    """
     root, coroot = d.simple_pairs()[i]
     n = pair(lam, coroot)
     if n.denominator != 1:
         raise ValueError(f"{lam} pairs non-integrally with the coroot of simple {i}")
-    n = int(n)
-    if n == 0:
+    if not n:
         return GroupAlgebraElement.zero(d.rank)
-    alpha = tuple(int(x) for x in root)
-    lam = tuple(int(x) for x in lam)
-    slam = tuple(a - n * b for a, b in zip(lam, alpha))
-    diff = GroupAlgebraElement.monomial(lam) - GroupAlgebraElement.monomial(slam)
-    qa = p.q_alpha(i)
-    one = QLaurent.one()
-    if not p.special_simple(i):
-        den = GroupAlgebraElement.one(d.rank) - GroupAlgebraElement.monomial(tuple(-x for x in alpha))
-        quot = diff.exact_div(den)
-        return quot.scale(qa - one)
-    if n % 2:
+    special = p.special_simple(i)
+    if special and n % 2:
         raise ValueError("coroot in 2 Lambda^ forces even pairings; malformed lattice vector")
-    a = p.alpha_exp[i]
-    b = p.qi_for_simple(i)
-    sqrt_plus = QLaurent.q_power((a + b) / 2)
-    sqrt_minus = QLaurent.q_power((a - b) / 2)
-    factor = GroupAlgebraElement.const(d.rank, qa - one) + \
-        GroupAlgebraElement.monomial(tuple(-x for x in alpha), sqrt_plus - sqrt_minus)
-    den = GroupAlgebraElement.one(d.rank) - GroupAlgebraElement.monomial(tuple(-2 * x for x in alpha))
-    quot = diff.exact_div(den)
-    return factor * quot
+    step = 2 if special else 1
+    c = int(n) // step
+    lam = tuple(int(x) for x in lam)
+    beta = tuple(step * int(x) for x in root)
+    sign = QLaurent.one() if c > 0 else -QLaurent.one()
+    geo = GroupAlgebraElement._trusted(d.rank, {tuple(a - k * b for a, b in zip(lam, beta)): sign
+                                                for k in range(min(c, 0), max(c, 0))})
+    qa_minus_1 = p.q_alpha(i) - QLaurent.one()
+    if not special:
+        return geo.scale(qa_minus_1)
+    a, b = p.alpha_exp[i], p.qi_for_simple(i)
+    factor = GroupAlgebraElement.const(d.rank, qa_minus_1) + GroupAlgebraElement.monomial(
+        tuple(-x for x in root), QLaurent.q_power((a + b) / 2) - QLaurent.q_power((a - b) / 2))
+    return factor * geo
 
 
 # ---------------------------------------------------------------------------

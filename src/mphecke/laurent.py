@@ -376,6 +376,18 @@ class GroupAlgebraElement:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("GroupAlgebraElement is immutable")
 
+    @classmethod
+    def _trusted(cls, rank: int, t: dict[tuple[int, ...], QLaurent]) -> "GroupAlgebraElement":
+        """Wrap ``t`` as it is: int-tuple keys of length ``rank``, nonzero values.
+
+        For the ring operations, whose results already have that form;
+        the public constructor coerces and merges its input instead.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "rank", rank)
+        object.__setattr__(out, "_t", t)
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -423,14 +435,14 @@ class GroupAlgebraElement:
         self._check(o)
         t = dict(self._t)
         for vec, c in o._t.items():
-            t[vec] = t.get(vec, QLaurent.zero()) + c
-        return GroupAlgebraElement(self.rank, t)
+            t[vec] = t[vec] + c if vec in t else c
+        return GroupAlgebraElement._trusted(self.rank, {v: c for v, c in t.items() if not c.is_zero()})
 
     def __sub__(self, o: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + (-o)
 
     def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.rank, {v: -c for v, c in self._t.items()})
+        return GroupAlgebraElement._trusted(self.rank, {v: -c for v, c in self._t.items()})
 
     def __mul__(self, o: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(o)
@@ -441,22 +453,27 @@ class GroupAlgebraElement:
                 p = c1 * c2
                 acc = t.get(v)
                 t[v] = p if acc is None else acc + p
-        return GroupAlgebraElement(self.rank, t)
+        return GroupAlgebraElement._trusted(self.rank, {v: c for v, c in t.items() if not c.is_zero()})
 
     def scale(self, c: QLaurent) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.rank, {v: x * c for v, x in self._t.items()})
+        if c.is_zero():
+            return GroupAlgebraElement.zero(self.rank)
+        return GroupAlgebraElement._trusted(self.rank, {v: x * c for v, x in self._t.items()})
 
     def bar(self) -> "GroupAlgebraElement":
         """Substitute every lattice monomial by its inverse, Z_lam -> Z_{-lam}."""
-        return GroupAlgebraElement(self.rank, {tuple(-x for x in v): c for v, c in self._t.items()})
+        return GroupAlgebraElement._trusted(self.rank, {tuple(-x for x in v): c for v, c in self._t.items()})
 
     def apply_lattice_map(self, f) -> "GroupAlgebraElement":
         """Push exponents through an injective lattice map ``f``."""
-        return GroupAlgebraElement(self.rank, {tuple(int(x) for x in f(v)): c for v, c in self._t.items()})
+        return GroupAlgebraElement._trusted(self.rank, {tuple(int(x) for x in f(v)): c for v, c in self._t.items()})
 
     def shift(self, vec: Sequence[int]) -> "GroupAlgebraElement":
         vec = tuple(int(x) for x in vec)
-        return GroupAlgebraElement(self.rank, {tuple(a + b for a, b in zip(v, vec)): c for v, c in self._t.items()})
+        if len(vec) != self.rank:
+            raise ValueError(f"shift {vec} has length != rank {self.rank}")
+        return GroupAlgebraElement._trusted(self.rank, {tuple(a + b for a, b in zip(v, vec)): c
+                                                        for v, c in self._t.items()})
 
     def __eq__(self, o) -> bool:
         return isinstance(o, GroupAlgebraElement) and self.rank == o.rank and self._t == o._t
@@ -476,9 +493,10 @@ class GroupAlgebraElement:
 
         Multivariate long division under the graded-lexicographic order,
         after shifting both operands into the polynomial cone.  A nonzero
-        remainder raises :class:`NotDivisible`; the divisions needed in
-        practice (geometric quotients out of the commutation rule) are
-        exact by construction, so a remainder signals a caller error.
+        remainder raises :class:`NotDivisible`.  The library divides only
+        rank-1 elements, by a factor known to divide them (the gcds of
+        :func:`_reduce` and :meth:`RationalFunction.__add__`), so there a
+        remainder signals a caller error.
         """
         self._check(den)
         if den.is_zero():
@@ -517,7 +535,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def from_dense1(cls, val: int, coeffs: Sequence[QLaurent]) -> "GroupAlgebraElement":
-        return cls(1, {(val + i,): c for i, c in enumerate(coeffs) if not c.is_zero()})
+        return cls._trusted(1, {(val + i,): c for i, c in enumerate(coeffs) if not c.is_zero()})
 
     def eval1(self, point: QLaurent) -> QLaurent:
         """Evaluate a rank-1 element at Z = point (point must be a unit)."""
@@ -780,8 +798,8 @@ def _reduce(a: GroupAlgebraElement, b: GroupAlgebraElement) -> tuple[GroupAlgebr
             a, b = a.exact_div(g_ga), b.exact_div(g_ga)
     g = _content(chain(b._t.values(), a._t.values()))
     if not g.is_one():
-        a = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in a._t.items()})
-        b = GroupAlgebraElement(1, {v: c.exact_div(g) for v, c in b._t.items()})
+        a = GroupAlgebraElement._trusted(1, {v: c.exact_div(g) for v, c in a._t.items()})
+        b = GroupAlgebraElement._trusted(1, {v: c.exact_div(g) for v, c in b._t.items()})
     return a, b
 
 

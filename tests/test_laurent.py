@@ -132,6 +132,23 @@ def test_ga_ring_axioms(a, b, c):
     assert a * b == b * a
 
 
+@given(ga_elements, ga_elements, qlaurents, vectors2, st.integers(-2, 2),
+       st.lists(qlaurents, max_size=4))
+def test_ga_ring_ops_store_the_public_form(a, b, c, v, val, coeffs):
+    # the ring ops wrap their dicts unchecked; the public constructor coerces and merges
+    out = [a + b, a - b, a + (-a), a * b, -a, a.scale(c), a.scale(QLaurent.zero()),
+           a.shift(v), a.bar(), a.apply_lattice_map(lambda w: (Fraction(w[1]), w[0])),
+           GA.from_dense1(val, coeffs)]
+    if not b.is_zero():
+        out.append((a * b).exact_div(b))
+    for r in out:
+        assert all(type(k) is tuple and len(k) == r.rank and all(type(x) is int for x in k)
+                   for k in r._t)
+        assert all(isinstance(x, QLaurent) and not x.is_zero() for x in r._t.values())
+        assert r._t == GA(r.rank, r._t)._t
+    assert a.scale(QLaurent.zero()).is_zero() and (a + (-a)).is_zero()
+
+
 def test_exact_div_geometric():
     lam = (2, 1)
     alpha = (1, -1)
