@@ -253,51 +253,75 @@ def cmd_weil_example(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _rankone_verify_args(p):
+    p.add_argument("--grid", default="1/2..3", help="exponent grid 'lo..hi' (exact rationals)")
+    p.add_argument("--step", default="1/2", help="grid step (exact rational)")
+
+
+def _hecke_check_args(p):
+    p.add_argument("--max-rank", type=int, default=4)
+
+
+def _weil_example_args(p):
+    p.add_argument("--n", type=int, required=True)
+
+
+def _input_args(what):
+    def add(p):
+        p.add_argument("input", help=what)
+    return add
+
+
+# verb -> (help, its own arguments, handler), in the order of the usage line
+VERBS = {
+    "rankone-verify": ("sweep the rank-one quadratic relation", _rankone_verify_args,
+                       cmd_rankone_verify),
+    "hecke-check": ("quadratic/braid/associativity suite", _hecke_check_args, cmd_hecke_check),
+    "blocks-classify": ("classify a block descriptor", _input_args("descriptor JSON"),
+                        cmd_blocks_classify),
+    "mp-enumerate": ("enumerate blocks of a normed parameter", _input_args("parameter JSON"),
+                     cmd_mp_enumerate),
+    "mp-match": ("compare emitted and classical presentations", _input_args("parameter JSON"),
+                 cmd_mp_match),
+    "weil-example": ("the two Weil-representation blocks", _weil_example_args, cmd_weil_example),
+}
+
+
+def build_parser(verbs=tuple(VERBS)) -> argparse.ArgumentParser:
+    """The parser of the named verbs; all of them by default."""
     ap = argparse.ArgumentParser(prog="mphecke",
                                  description="exact Hecke-algebra and block-classification checks")
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    def common(p):
+    for verb in verbs:
+        help_text, add_args, func = VERBS[verb]
+        p = sub.add_parser(verb, help=help_text)
+        add_args(p)
         p.add_argument("--out", help="also write the JSON report to this path")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-
-    p = sub.add_parser("rankone-verify", help="sweep the rank-one quadratic relation")
-    p.add_argument("--grid", default="1/2..3", help="exponent grid 'lo..hi' (exact rationals)")
-    p.add_argument("--step", default="1/2", help="grid step (exact rational)")
-    common(p)
-    p.set_defaults(func=cmd_rankone_verify)
-
-    p = sub.add_parser("hecke-check", help="quadratic/braid/associativity suite")
-    p.add_argument("--max-rank", type=int, default=4)
-    common(p)
-    p.set_defaults(func=cmd_hecke_check)
-
-    p = sub.add_parser("blocks-classify", help="classify a block descriptor")
-    p.add_argument("input", help="descriptor JSON")
-    common(p)
-    p.set_defaults(func=cmd_blocks_classify)
-
-    p = sub.add_parser("mp-enumerate", help="enumerate blocks of a normed parameter")
-    p.add_argument("input", help="parameter JSON")
-    common(p)
-    p.set_defaults(func=cmd_mp_enumerate)
-
-    p = sub.add_parser("mp-match", help="compare emitted and classical presentations")
-    p.add_argument("input", help="parameter JSON")
-    common(p)
-    p.set_defaults(func=cmd_mp_match)
-
-    p = sub.add_parser("weil-example", help="the two Weil-representation blocks")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_weil_example)
-
+        p.set_defaults(func=func)
     return ap
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """Parse with a parser holding only the verb named first.
+
+    Building one subparser instead of six is most of the cost of a short
+    invocation.  Anything the one-verb parser cannot settle alone goes to
+    the full parser, whose usage line names every verb: no verb first
+    (``-h``, an unknown verb, an empty argv), or arguments left over.
+    Errors inside a verb's own arguments are reported by that verb's
+    subparser, which is the same in both parsers.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in VERBS:
+        args, extra = build_parser((argv[0],)).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except InputError as e:
