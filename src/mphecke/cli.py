@@ -222,13 +222,24 @@ def _load_phi0(path: str) -> mpparams.NormedParameter:
 
 def cmd_mp_enumerate(args) -> int:
     p0 = _load_phi0(args.input)
+    blocks = mpparams.enumerate_blocks(p0)
+    # The records share their presentation objects, so each distinct one is
+    # serialised once; ``blocks`` keeps every key's object alive meanwhile.
+    serialised: dict[int, dict] = {}
+
+    def pres_json(pres):
+        key = id(pres)
+        if key not in serialised:
+            serialised[key] = pres.to_json()
+        return serialised[key]
+
     rows = []
-    for b in mpparams.enumerate_blocks(p0):
+    for b in blocks:
         rows.append({
             "S": b["S"].to_json(),
             "epsilon": b["epsilon"].to_json(),
             "epsilon_Z": b["epsilon_Z"],
-            "hecke": {label: pres.to_json() for label, pres in b["hecke"].items()},
+            "hecke": {label: pres_json(pres) for label, pres in b["hecke"].items()},
             "classical_match": {label: list(v) for label, v in b["classical_match"].items()},
         })
     emit({"schema": "v1", "blocks": rows, "count": len(rows)}, args)

@@ -315,6 +315,10 @@ class SChoice:
                 return ap, am, mg
         raise KeyError(label)
 
+    def anchors(self) -> dict[str, tuple[int, int]]:
+        """label -> (a+, a-)."""
+        return {l: (ap, am) for l, ap, am, _ in self.entries}
+
     def to_json(self) -> list:
         return [[l, ap, am, mg] for l, ap, am, mg in self.entries]
 
@@ -511,6 +515,26 @@ def _scaled(p: MpHeckePresentation, t: int) -> MpHeckePresentation:
         p.scale * t, p.extended)
 
 
+def _class_match(p0: NormedParameter, S: SChoice, cls: InertialClass) -> tuple[str, bool, bool]:
+    """(matched group, matched, swapped) for one class under the anchor choice S."""
+    m = p0.m(cls.label)
+    group, gsize = classical_match(cls, m)
+    mp = hecke_for_block(p0, S, cls)
+    if not cls.self_dual:
+        classical = MpHeckePresentation("GL", m, (Fraction(1),) * max(m - 1, 0), None, None, 1)
+        return group, mp == _scaled(classical, cls.t), False
+    ap, am, _ = S.get(cls.label)
+    for swap in (False, True):
+        args = (am, ap) if swap else (ap, am)
+        try:
+            classical = classical_hecke(group, gsize, *args)
+        except ParameterError:
+            continue
+        if mp == _scaled(classical, cls.t):
+            return group, True, swap
+    return group, False, False
+
+
 def verify_match(p0: NormedParameter) -> dict:
     """Compare the emitted presentations against the matched classical towers.
 
@@ -518,36 +542,21 @@ def verify_match(p0: NormedParameter) -> dict:
     presentation must coincide with the classical one after rescaling the
     classical exponents by t; the unitary-type comparison may need the
     argument order (a+, a-) swapped, which is recorded.  Mismatches are
-    reported, never raised.
+    reported, never raised.  A class's comparison depends on S only
+    through the class's (a+, a-), so it is made once per (class, a+, a-).
     """
     rows = []
     mismatches = 0
+    found: dict[tuple, tuple[str, bool, bool]] = {}
     for S in enumerate_S(p0):
+        s_json = S.to_json()
+        anchors = S.anchors()
         for cls in p0.support():
-            m = p0.m(cls.label)
-            group, gsize = classical_match(cls, m)
-            if not cls.self_dual:
-                mp = hecke_for_block(p0, S, cls)
-                classical = MpHeckePresentation("GL", m, (Fraction(1),) * max(m - 1, 0),
-                                                None, None, 1)
-                ok = mp == _scaled(classical, cls.t)
-                rows.append({"S": S.to_json(), "class": cls.label, "group": group,
-                             "matched": ok, "swapped": False})
-                mismatches += 0 if ok else 1
-                continue
-            ap, am, _ = S.get(cls.label)
-            mp = hecke_for_block(p0, S, cls)
-            matched, swapped = False, False
-            for swap in (False, True):
-                args = (am, ap) if swap else (ap, am)
-                try:
-                    classical = classical_hecke(group, gsize, *args)
-                except ParameterError:
-                    continue
-                if mp == _scaled(classical, cls.t):
-                    matched, swapped = True, swap
-                    break
-            rows.append({"S": S.to_json(), "class": cls.label, "group": group,
+            key = (cls.label, anchors.get(cls.label))
+            if key not in found:
+                found[key] = _class_match(p0, S, cls)
+            group, matched, swapped = found[key]
+            rows.append({"S": s_json, "class": cls.label, "group": group,
                          "matched": matched, "swapped": swapped})
             mismatches += 0 if matched else 1
     return {"schema": "v1", "mismatches": mismatches, "rows": rows}
@@ -558,13 +567,24 @@ def verify_match(p0: NormedParameter) -> dict:
 # ---------------------------------------------------------------------------
 
 def enumerate_blocks(p0: NormedParameter) -> list[dict]:
-    """One record per Bernstein block: anchor choice, character, presentations."""
+    """One record per Bernstein block: anchor choice, character, presentations.
+
+    A class's presentation depends on S only through the class's (a+, a-),
+    so it is built once per (class, a+, a-) and shared by the records.
+    """
     support = p0.support()
     matches = {cls.label: classical_match(cls, p0.m(cls.label)) for cls in support}
+    built: dict[tuple, MpHeckePresentation] = {}
     out = []
     for S in enumerate_S(p0):
         chars = enumerate_alt_chars(anchor_parameter(p0, S))
-        presentations = {cls.label: hecke_for_block(p0, S, cls) for cls in support}
+        anchors = S.anchors()
+        presentations = {}
+        for cls in support:
+            key = (cls.label, anchors.get(cls.label))
+            if key not in built:
+                built[key] = hecke_for_block(p0, S, cls)
+            presentations[cls.label] = built[key]
         for eps in chars:
             out.append({
                 "S": S,
