@@ -26,7 +26,7 @@ from .rootdata import (
     WeylElement,
     build_O_datum,
     coroot_in_2Lambda,
-    group_closure,
+    group_order,
     parse_label,
 )
 
@@ -222,7 +222,7 @@ def classify(bd: BlockDescriptor, extra_r_generators: Sequence[WeylElement] = ()
     for c in comps:
         w_o *= c.weyl_order()
     gens, report, external = _r_group_data(bd, comps, extra_r_generators)
-    r_order = len(group_closure(gens, n)) if gens else 1
+    r_order = group_order(gens, n)
     return ClassifiedBlock(bd, tuple(comps), w_o, tuple(gens), r_order, w_o * r_order,
                            tuple(report), external)
 

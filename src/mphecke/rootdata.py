@@ -488,6 +488,113 @@ def group_closure(gens: Sequence[WeylElement], rank: int, guard: int = WEYL_ENUM
     return sorted(seen, key=lambda w: (w.perm, w.signs))
 
 
+def _signed_points(w: WeylElement) -> tuple[int, ...]:
+    """w as a permutation of the 2n signed points: i is e_i, n + i is -e_i."""
+    n = w.rank
+    img = [0] * (2 * n)
+    for i, (p, s) in enumerate(zip(w.perm, w.signs)):
+        img[i], img[n + i] = (p, n + p) if s == 1 else (n + p, p)
+    return tuple(img)
+
+
+def group_order(gens: Sequence[WeylElement], rank: int, guard: int = WEYL_ENUM_GUARD) -> int:
+    """|<gens>| without listing the group: Schreier-Sims on the 2*rank signed points.
+
+    The deterministic form (Sims 1970; Seress, Permutation Group
+    Algorithms, CUP 2003, section 4.2): a base b_0, b_1, ... and per level i
+    the strong generators fixing b_0..b_{i-1}, with a transversal of the
+    orbit of b_i.  Level i is complete when every Schreier generator
+    u_{s beta}^-1 s u_beta sifts to the identity through the levels below
+    it; a residue that does not becomes a new strong generator.  The
+    order is the product of the orbit lengths.  Past ``guard`` it raises
+    the same ValueError as ``group_closure``, so order == guard passes.
+    """
+    ident = tuple(range(2 * rank))
+
+    def mul(a, b):          # a after b
+        return tuple(a[x] for x in b)
+
+    def inv(a):
+        out = [0] * len(a)
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+
+    base: list[int] = []
+    strong: list[tuple[int, ...]] = []
+    for g in gens:
+        g = _signed_points(g)
+        if g != ident:
+            if all(g[b] == b for b in base):
+                base.append(next(x for x in ident if g[x] != x))
+            strong.append(g)
+    levels: list[dict[int, tuple]] = []   # per level: orbit point -> (u, u^-1)
+    level_gens: list[list[tuple]] = []
+
+    def rebuild(i: int):
+        fixed = base[:i]
+        sgens = [g for g in strong if all(g[b] == b for b in fixed)]
+        orbit = {base[i]: (ident, ident)}
+        frontier = [base[i]]
+        while frontier:
+            nxt = []
+            for beta in frontier:
+                u = orbit[beta][0]
+                for g in sgens:
+                    gamma = g[beta]
+                    if gamma not in orbit:
+                        v = mul(g, u)
+                        orbit[gamma] = (v, inv(v))
+                        nxt.append(gamma)
+            frontier = nxt
+        level_gens[i:i + 1] = [sgens]
+        levels[i:i + 1] = [orbit]
+        order = 1
+        for lv in levels:
+            order *= len(lv)
+        if order > guard:
+            raise ValueError("group closure exceeds guard")
+
+    for i in range(len(base)):
+        levels.append({})
+        level_gens.append([])
+        rebuild(i)
+
+    i = len(base) - 1
+    while i >= 0:
+        residue, j = None, None
+        for beta, (u, _) in levels[i].items():
+            for g in level_gens[i]:
+                h = mul(levels[i][g[beta]][1], mul(g, u))
+                j = i + 1
+                while j < len(base) and h != ident:
+                    step = levels[j].get(h[base[j]])
+                    if step is None:
+                        break
+                    h = mul(step[1], h)
+                    j += 1
+                if h != ident:
+                    residue = h
+                    break
+            if residue is not None:
+                break
+        if residue is None:
+            i -= 1
+            continue
+        strong.append(residue)
+        if j == len(base):
+            base.append(next(x for x in ident if residue[x] != x))
+            levels.append({})
+            level_gens.append([])
+        for level in range(i + 1, j + 1):
+            rebuild(level)
+        i = j
+    order = 1
+    for lv in levels:
+        order *= len(lv)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra helpers
 # ---------------------------------------------------------------------------

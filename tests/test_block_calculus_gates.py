@@ -6,10 +6,12 @@ that is the straightforward form of the same computation:
 * ``main(argv)`` against the full six-verb parser, on stdout, stderr and
   the exit code (``SystemExit`` included);
 * the ``mp-enumerate`` and ``mp-match`` JSON against the per-(S, class)
-  loops, kept here verbatim.
+  loops, kept here verbatim;
+* ``group_order`` (Schreier-Sims) against ``len(group_closure(...))``.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from mphecke.mpparams import (
     epsilon_Z,
     hecke_for_block,
 )
+from mphecke.rootdata import WeylElement, group_closure, group_order
 
 from test_mpparams import pool_parameters
 
@@ -201,3 +204,72 @@ def test_mp_json_matches_the_per_class_loops(tmp_path, capsys):
             assert out == _emitted(oracle(p0)), (verb, p0.mult)
         assert mpparams.verify_match(p0) == _oracle_verify_match(p0)
         assert mpparams.enumerate_blocks(p0) == _oracle_enumerate_blocks(p0)
+
+
+# ---------------------------------------------------------------------------
+# |R|: Schreier-Sims against the listed closure
+# ---------------------------------------------------------------------------
+
+
+def _random_descriptor(rng, ambient, max_rank=4):
+    h_ranks = (0, 2, 3) if ambient in ("SO_even", "O_even") else (0, 1, 2, 3)
+    lines, budget = [], max_rank
+    while budget and (not lines or rng.random() < 0.5) and len(lines) < 3:
+        k = rng.randint(1, budget)
+        budget -= k
+        self_dual = rng.random() < 0.7
+        lines.append(blocks_mod.CuspidalLine(
+            rng.randint(1, 3), k, rng.random() < 0.5, self_dual and rng.random() < 0.5,
+            self_dual, rng.random() < 0.5))
+    return blocks_mod.BlockDescriptor(ambient, rng.choice(h_ranks), tuple(lines))
+
+
+def test_group_order_matches_the_closure_on_classified_blocks():
+    rng = random.Random(20251018)
+    orders = set()
+    for ambient in blocks_mod.AMBIENTS:
+        for _ in range(40):
+            bd = _random_descriptor(rng, ambient)
+            cb = blocks_mod.classify(bd)
+            n = bd.ambient_rank
+            assert n <= 4
+            expected = len(group_closure(cb.r_generators, n)) if cb.r_generators else 1
+            assert group_order(cb.r_generators, n) == expected == cb.r_order, bd
+            orders.add(expected)
+    assert len(orders) >= 5
+
+
+def _random_signed_permutation(rng, n, sparse):
+    perm = list(range(n))
+    signs = [1] * n
+    if sparse and n >= 2:
+        i, j = rng.sample(range(n), 2)
+        perm[i], perm[j] = j, i
+        if rng.random() < 0.5:
+            signs[rng.randrange(n)] = -1
+    else:
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+    return WeylElement(tuple(perm), tuple(signs))
+
+
+def test_group_order_matches_the_closure_on_random_generators():
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        gens = [_random_signed_permutation(rng, n, rng.random() < 0.6)
+                for _ in range(rng.randint(0, 4))]
+        assert group_order(gens, n) == len(group_closure(gens, n)), gens
+
+
+def _s3():
+    return [WeylElement((1, 0, 2), (1, 1, 1)), WeylElement((0, 2, 1), (1, 1, 1))]
+
+
+def test_group_order_guard_is_the_closure_guard():
+    with pytest.raises(ValueError) as closure_err:
+        group_closure(_s3(), 3, guard=5)
+    with pytest.raises(ValueError) as order_err:
+        group_order(_s3(), 3, guard=5)
+    assert str(order_err.value) == str(closure_err.value) == "group closure exceeds guard"
+    assert group_order(_s3(), 3, guard=6) == 6 == len(group_closure(_s3(), 3, guard=6))
