@@ -325,7 +325,9 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
     parameters are q_alpha = q^(a_s + a_{s,-}) per root and
     q_i = q^(a_s - a_{s,-}) per type-B component.  A nonzero a_{s,-} is
     legal only on the short root of a type-B component (after the C -> B
-    conversion); anywhere else it raises InvalidInvariants.
+    conversion); anywhere else it raises InvalidInvariants.  So does an
+    R-group generator that carries a simple root to one with other
+    parameters.
     """
     bd = cb.descriptor
     n = bd.ambient_rank
@@ -343,6 +345,7 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
 
     alpha_exp: list[Fraction] = []
     qi_exp: dict[int, Fraction] = {}
+    qi_by_simple: dict[int, Fraction] = {}
     idx = 0
     for ci, comp in enumerate(datum.components):
         n_simples = _label_weyl_simples(comp.letter, comp.k)
@@ -359,7 +362,7 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
             if is_short_b:
                 coroot = datum.simple_pairs()[len(alpha_exp) - 1][1]
                 if coroot_in_2Lambda(coroot, datum):
-                    qi_exp[ci] = a - am
+                    qi_exp[ci] = qi_by_simple[len(alpha_exp) - 1] = a - am
                 elif am != 0:
                     raise InvalidInvariants(
                         "short-root coroot is not in 2*Lambda^; cannot carry a_{s,-}")
@@ -367,9 +370,34 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
         params = HeckeParams(datum, tuple(alpha_exp), qi_exp)  # conjugacy + q_i placement
     except InvalidParameters as e:
         raise InvalidInvariants(str(e))
+    _check_r_keeps_parameters(datum, params.alpha_exp, qi_by_simple, cb.r_generators)
     return HeckePresentation(datum, params.alpha_exp,
                              tuple(sorted(qi_exp.items())),
                              cb.r_generators, ())
+
+
+def _check_r_keeps_parameters(datum, alpha_exp: Sequence[Fraction],
+                              qi_by_simple: dict[int, Fraction],
+                              r_generators: Sequence[WeylElement]) -> None:
+    """R acts on the Hecke algebra only if it keeps the parameters.
+
+    Each generator r must carry every simple root alpha_i to a simple root
+    alpha_j, up to sign, with a(alpha_j) = a(alpha_i), and a simple root
+    carrying q_i to one carrying the same q_i.
+    """
+    simples = datum.simple_pairs()
+    index = {}
+    for i, (root, _) in enumerate(simples):
+        index[root] = index[tuple(-x for x in root)] = i
+    for r in r_generators:
+        for i, (root, _) in enumerate(simples):
+            j = index.get(r.act(root))
+            if j is None:
+                raise InvalidInvariants("an R-group generator does not permute the simple roots")
+            if alpha_exp[j] != alpha_exp[i] or qi_by_simple.get(j) != qi_by_simple.get(i):
+                raise InvalidInvariants(
+                    f"an R-group generator carries simple root {i} to simple root {j}, "
+                    "which has other parameters")
 
 
 def _label_weyl_simples(letter: str, k: int) -> int:

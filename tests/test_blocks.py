@@ -292,3 +292,35 @@ def test_hecke_from_block_rejects_unequal_conjugates():
 def test_descriptor_json_roundtrip():
     bd = BlockDescriptor("Mp", 2, (line(k=3), line(k=2, boundary_pole=False)))
     assert BlockDescriptor.from_json(bd.to_json()) == bd
+
+
+def _d2_with_flip():
+    bd = BlockDescriptor.from_json({
+        "ambient": "SO_odd", "h_rank": 1,
+        "lines": [{"d": 1, "k": 2, "gl_singular": True, "boundary_pole": False,
+                   "self_dual_T": True, "tau_T": True}]})
+    cb = classify(bd)
+    assert labels(cb) == ["D2"]
+    assert cb.r_generators == (WeylElement((0, 1), (1, -1)),)
+    return cb
+
+
+def test_hecke_from_block_rejects_r_swapping_unequal_parameters():
+    # D2's two simple roots are not conjugate, so a(alpha_1) = 1 and
+    # a(alpha_2) = 2 are valid parameters; but the flip in R swaps them
+    cb = _d2_with_flip()
+    with pytest.raises(InvalidInvariants, match="other parameters"):
+        hecke_from_block(cb, [(F(1), F(0)), (F(2), F(0))])
+    pres = hecke_from_block(cb, [(F(1), F(0)), (F(1), F(0))])
+    assert pres.alpha_exponents == (F(1), F(1))
+    assert pres.r_generators == cb.r_generators
+
+
+def test_hecke_from_block_rejects_r_swapping_unequal_qi():
+    # two B1 copies swapped by R: equal a(alpha) = 3, but q_i = q^1 against q^3
+    cb = classify(BlockDescriptor("Mp", 1, (line(k=2, gl_singular=False),)))
+    assert labels(cb) == ["B1", "B1"]
+    with pytest.raises(InvalidInvariants, match="other parameters"):
+        hecke_from_block(cb, [(F(2), F(1)), (F(3), F(0))])
+    pres = hecke_from_block(cb, [(F(2), F(1)), (F(2), F(1))])
+    assert pres.qi_exponents == ((0, F(1)), (1, F(1)))
