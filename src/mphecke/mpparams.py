@@ -346,6 +346,42 @@ def enumerate_S(p0: NormedParameter) -> list[SChoice]:
     return [SChoice(tuple(combo)) for combo in itertools.product(*per_class)]
 
 
+# The most records one call may list: blocks for enumerate_blocks, rows for
+# verify_match.  Both counts are products over the classes, so a few
+# classes of high multiplicity reach millions (4^10 anchor choices for ten
+# both-type classes of multiplicity 6).
+ENUMERATION_GUARD = 100_000
+
+
+def count_blocks(p0: NormedParameter) -> int:
+    """len(enumerate_blocks(p0)), without enumerating.
+
+    The anchor choices are a product over the self-dual classes, and an
+    anchor's characters number 2^(type members present), a product too:
+    so the count is the product over classes of the sum, over the class's
+    choices, of 2^(number of type members with a > 0).
+    """
+    total = 1
+    for c in p0.self_dual_support():
+        total *= sum(2 ** ((ap > 0 and c.type_plus) + (am > 0 and c.type_minus))
+                     for ap, am, _ in _class_choices(c, p0.m(c.label)))
+    return total
+
+
+def count_match_rows(p0: NormedParameter) -> int:
+    """len(verify_match(p0)["rows"]): |S| times the size of the support."""
+    n_s = 1
+    for c in p0.self_dual_support():
+        n_s *= len(_class_choices(c, p0.m(c.label)))
+    return n_s * len(p0.support())
+
+
+def _guard(count: int, what: str) -> None:
+    if count > ENUMERATION_GUARD:
+        raise ParameterError(
+            f"{count} {what} exceed the enumeration guard of {ENUMERATION_GUARD}")
+
+
 def anchor_parameter(p0: NormedParameter, S: SChoice) -> DiscreteParameter:
     """The discrete parameter of the anchor block determined by S."""
     jord = []
@@ -544,7 +580,9 @@ def verify_match(p0: NormedParameter) -> dict:
     argument order (a+, a-) swapped, which is recorded.  Mismatches are
     reported, never raised.  A class's comparison depends on S only
     through the class's (a+, a-), so it is made once per (class, a+, a-).
+    More than ENUMERATION_GUARD rows raise ParameterError.
     """
+    _guard(count_match_rows(p0), "match rows")
     rows = []
     mismatches = 0
     found: dict[tuple, tuple[str, bool, bool]] = {}
@@ -571,7 +609,9 @@ def enumerate_blocks(p0: NormedParameter) -> list[dict]:
 
     A class's presentation depends on S only through the class's (a+, a-),
     so it is built once per (class, a+, a-) and shared by the records.
+    More than ENUMERATION_GUARD blocks raise ParameterError.
     """
+    _guard(count_blocks(p0), "blocks")
     support = p0.support()
     matches = {cls.label: classical_match(cls, p0.m(cls.label)) for cls in support}
     built: dict[tuple, MpHeckePresentation] = {}

@@ -1,9 +1,12 @@
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from mphecke import mpparams
+from mphecke.cli import main
 from mphecke.mpparams import (
     DiscreteParameter,
     InertialClass,
@@ -15,6 +18,8 @@ from mphecke.mpparams import (
     anchor_parameter,
     classical_hecke,
     classical_match,
+    count_blocks,
+    count_match_rows,
     enumerate_S,
     enumerate_alt_chars,
     enumerate_blocks,
@@ -375,3 +380,39 @@ def test_weil_example(n):
         assert odd["presentation"]["qi"] == 1
     assert not odd["display_matches_reference"]
     assert odd["epsilon_Z"] == -1
+
+
+# -- the enumeration guard -------------------------------------------------------------------------
+
+def test_counts_match_the_enumerations_on_the_pool():
+    for p0 in pool_parameters(8):
+        assert count_blocks(p0) == len(enumerate_blocks(p0)), p0.mult
+        assert count_match_rows(p0) == len(verify_match(p0)["rows"]), p0.mult
+
+
+def test_counts_of_a_large_parameter_are_arithmetic():
+    # ten both-type classes of multiplicity 6 (n = 30): each has four anchor
+    # choices, (0, 0, 3), (0, 1, 2), (1, 0, 2) and (1, 1, 1), with 1, 2, 2
+    # and 4 characters; only the arithmetic runs here
+    classes = tuple(InertialClass(f"t{i}", self_dual=True, type_plus=True, type_minus=True)
+                    for i in range(10))
+    p0 = NormedParameter(30, classes, tuple((c.label, 6) for c in classes))
+    assert count_match_rows(p0) == 4 ** 10 * 10
+    assert count_blocks(p0) == 9 ** 10
+    assert count_blocks(p0) > mpparams.ENUMERATION_GUARD
+
+
+@pytest.mark.parametrize("verb", ["mp-enumerate", "mp-match"])
+def test_enumeration_guard_exits_2(tmp_path, capsys, monkeypatch, verb):
+    p0 = NormedParameter(2, POOL, (("ff", 4),))
+    assert count_blocks(p0) == count_match_rows(p0) == 4
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(p0.to_json()))
+    monkeypatch.setattr(mpparams, "ENUMERATION_GUARD", 4)
+    assert main([verb, str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mpparams, "ENUMERATION_GUARD", 3)
+    assert main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "4 " in captured.err and "exceed the enumeration guard of 3" in captured.err
