@@ -270,21 +270,21 @@ def enumerate_alt_chars(p: DiscreteParameter) -> list[AltChar]:
     """
     if not without_holes(p):
         raise ParameterError("parameter has holes; characters are undefined")
-    member_entries: list[tuple[tuple[str, bool], list[JordEntry]]] = []
-    for label, minus in p.members():
-        entries = sorted((e for e in p.jord if (e.label, e.minus) == (label, minus)),
-                         key=lambda e: e.a)
-        member_entries.append(((label, minus), entries))
-    free = [key for key, _ in member_entries if p.member_of_type(*key)]
+    # p.jord is sorted, so each member's blocks are consecutive and ascending:
+    # block k of its member is the k-th entry with that (label, minus)
+    place = []
+    seen: dict[tuple[str, bool], int] = {}
+    for e in p.jord:
+        key = (e.label, e.minus)
+        k = seen.get(key, 0)
+        seen[key] = k + 1
+        place.append((e, key, -1 if k % 2 else 1))
+    free = [key for key in seen if p.member_of_type(*key)]
     chars = []
     for choice in itertools.product((1, -1), repeat=len(free)):
         first_sign = dict(zip(free, choice))
-        signs = []
-        for key, entries in member_entries:
-            s1 = first_sign.get(key, -1)
-            for idx, e in enumerate(entries):
-                signs.append((e, s1 * (-1) ** idx))
-        chars.append(AltChar(tuple(sorted(signs, key=lambda kv: kv[0]))))
+        chars.append(AltChar(tuple((e, first_sign.get(key, -1) * parity)
+                                   for e, key, parity in place)))
     return chars
 
 

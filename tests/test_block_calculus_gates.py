@@ -7,9 +7,11 @@ that is the straightforward form of the same computation:
   the exit code (``SystemExit`` included);
 * the ``mp-enumerate`` and ``mp-match`` JSON against the per-(S, class)
   loops, kept here verbatim;
+* ``enumerate_alt_chars`` against its per-member loops, kept verbatim;
 * ``group_order`` (Schreier-Sims) against ``len(group_closure(...))``.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -183,6 +185,37 @@ def _oracle_verify_match(p0):
                          "matched": matched, "swapped": swapped})
             mismatches += 0 if matched else 1
     return {"schema": "v1", "mismatches": mismatches, "rows": rows}
+
+
+def _oracle_enumerate_alt_chars(p):
+    if not mpparams.without_holes(p):
+        raise ParameterError("parameter has holes; characters are undefined")
+    member_entries = []
+    for label, minus in p.members():
+        entries = sorted((e for e in p.jord if (e.label, e.minus) == (label, minus)),
+                         key=lambda e: e.a)
+        member_entries.append(((label, minus), entries))
+    free = [key for key, _ in member_entries if p.member_of_type(*key)]
+    chars = []
+    for choice in itertools.product((1, -1), repeat=len(free)):
+        first_sign = dict(zip(free, choice))
+        signs = []
+        for key, entries in member_entries:
+            s1 = first_sign.get(key, -1)
+            for idx, e in enumerate(entries):
+                signs.append((e, s1 * (-1) ** idx))
+        chars.append(mpparams.AltChar(tuple(sorted(signs, key=lambda kv: kv[0]))))
+    return chars
+
+
+def test_alt_chars_match_the_per_member_loops():
+    n = 0
+    for p0 in pool_parameters(8):
+        for S in enumerate_S(p0):
+            anchor = anchor_parameter(p0, S)
+            assert enumerate_alt_chars(anchor) == _oracle_enumerate_alt_chars(anchor)
+            n += 1
+    assert n == 6490
 
 
 def _emitted(payload):
