@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -528,12 +528,11 @@ def group_order(gens: Sequence[WeylElement], rank: int, guard: int = WEYL_ENUM_G
             if all(g[b] == b for b in base):
                 base.append(next(x for x in ident if g[x] != x))
             strong.append(g)
-    levels: list[dict[int, tuple]] = []   # per level: orbit point -> (u, u^-1)
-    level_gens: list[list[tuple]] = []
+    levels: list[dict[int, tuple]] = [{} for _ in base]   # orbit point -> (u, u^-1)
+    level_gens: list[list[tuple]] = [[] for _ in base]
 
     def rebuild(i: int):
-        fixed = base[:i]
-        sgens = [g for g in strong if all(g[b] == b for b in fixed)]
+        sgens = [g for g in strong if all(g[b] == b for b in base[:i])]
         orbit = {base[i]: (ident, ident)}
         frontier = [base[i]]
         while frontier:
@@ -547,37 +546,34 @@ def group_order(gens: Sequence[WeylElement], rank: int, guard: int = WEYL_ENUM_G
                         orbit[gamma] = (v, inv(v))
                         nxt.append(gamma)
             frontier = nxt
-        level_gens[i:i + 1] = [sgens]
-        levels[i:i + 1] = [orbit]
-        order = 1
-        for lv in levels:
-            order *= len(lv)
-        if order > guard:
+        level_gens[i] = sgens
+        levels[i] = orbit
+        if prod(len(lv) for lv in levels) > guard:
             raise ValueError("group closure exceeds guard")
 
-    for i in range(len(base)):
-        levels.append({})
-        level_gens.append([])
-        rebuild(i)
+    def sift(h, j: int):
+        """Strip h level by level from j on: (residue, level where it stopped)."""
+        while j < len(base) and h != ident:
+            step = levels[j].get(h[base[j]])
+            if step is None:
+                break
+            h = mul(step[1], h)
+            j += 1
+        return h, j
 
-    i = len(base) - 1
-    while i >= 0:
-        residue, j = None, None
+    def schreier_residue(i: int):
         for beta, (u, _) in levels[i].items():
             for g in level_gens[i]:
-                h = mul(levels[i][g[beta]][1], mul(g, u))
-                j = i + 1
-                while j < len(base) and h != ident:
-                    step = levels[j].get(h[base[j]])
-                    if step is None:
-                        break
-                    h = mul(step[1], h)
-                    j += 1
+                h, j = sift(mul(levels[i][g[beta]][1], mul(g, u)), i + 1)
                 if h != ident:
-                    residue = h
-                    break
-            if residue is not None:
-                break
+                    return h, j
+        return None, None
+
+    for i in range(len(base)):
+        rebuild(i)
+    i = len(base) - 1
+    while i >= 0:
+        residue, j = schreier_residue(i)
         if residue is None:
             i -= 1
             continue
@@ -589,10 +585,7 @@ def group_order(gens: Sequence[WeylElement], rank: int, guard: int = WEYL_ENUM_G
         for level in range(i + 1, j + 1):
             rebuild(level)
         i = j
-    order = 1
-    for lv in levels:
-        order *= len(lv)
-    return order
+    return prod(len(lv) for lv in levels)
 
 
 # ---------------------------------------------------------------------------

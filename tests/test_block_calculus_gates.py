@@ -14,6 +14,7 @@ that is the straightforward form of the same computation:
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -47,10 +48,10 @@ def _full_parser_main(argv):
     try:
         return args.func(args)
     except cli.InputError as e:
-        cli.sys.stderr.write(f"error: {e}\n")
+        sys.stderr.write(f"error: {e}\n")
         return 2
     except (mpparams.ParameterError, blocks_mod.DescriptorError) as e:
-        cli.sys.stderr.write(f"error: {e}\n")
+        sys.stderr.write(f"error: {e}\n")
         return 2
 
 
