@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,234 @@ def test_gcd_is_monic_unitless():
 def test_qlaurent_json_roundtrip():
     x = QLaurent({-3: Fraction(2, 7), 4: -5})
     assert QLaurent.from_json(x.to_json()) == x
+
+
+# The Fraction-dict ring of Q[u, u^-1], kept as the oracle for QLaurent:
+# one Fraction per exponent, every operation straight on those values.
+
+class _FractionLaurent:
+    def __init__(self, c):
+        self._c = {int(k): Fraction(v) for k, v in c.items() if v}
+
+    def items(self):
+        return sorted(self._c.items())
+
+    def is_zero(self):
+        return not self._c
+
+    def is_monomial(self):
+        return len(self._c) == 1
+
+    def __add__(self, other):
+        c = dict(self._c)
+        for k, v in other._c.items():
+            c[k] = c[k] + v if k in c else v
+        return _FractionLaurent({k: v for k, v in c.items() if v})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return _FractionLaurent({k: -v for k, v in self._c.items()})
+
+    def __mul__(self, other):
+        c = {}
+        for k1, v1 in self._c.items():
+            for k2, v2 in other._c.items():
+                k = k1 + k2
+                s = c.get(k)
+                c[k] = v1 * v2 if s is None else s + v1 * v2
+        return _FractionLaurent({k: v for k, v in c.items() if v})
+
+    def scale(self, x):
+        x = Fraction(x)
+        if not x:
+            return _FractionLaurent({})
+        return _FractionLaurent({k: v * x for k, v in self._c.items()})
+
+    def __pow__(self, n):
+        if n < 0:
+            k = min(self._c)
+            c = self._c[k]
+            base = _FractionLaurent({-k: 1 / c})
+            return base ** (-n)
+        out = _FractionLaurent({0: 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __str__(self):
+        if not self._c:
+            return "0"
+        parts = []
+        for k, v in self.items():
+            if k == 0:
+                parts.append(str(v))
+            elif k % 4 == 0:
+                e = k // 4
+                parts.append(f"{v}*q^{e}" if e != 1 else f"{v}*q")
+            else:
+                parts.append(f"{v}*u^{k}")
+        return " + ".join(parts)
+
+    def _dense(self):
+        if not self._c:
+            return 0, []
+        v, d = min(self._c), max(self._c)
+        return v, [self._c.get(k, Fraction(0)) for k in range(v, d + 1)]
+
+    def exact_div(self, den):
+        if self.is_zero():
+            return _FractionLaurent({})
+        nv, nc = self._dense()
+        dv, dc = den._dense()
+        q, r = _fraction_polydiv(nc, dc)
+        if any(r):
+            raise NotDivisible(f"({self}) is not divisible by ({den})")
+        return _FractionLaurent({nv - dv + i: c for i, c in enumerate(q) if c})
+
+    @staticmethod
+    def gcd(a, b):
+        if a.is_zero() and b.is_zero():
+            return _FractionLaurent({})
+        if a.is_zero():
+            return _FractionLaurent.gcd(b, a)
+        _, ac = a._dense()
+        if b.is_zero():
+            g = _fraction_int_normalize(ac)
+        else:
+            _, bc = b._dense()
+            g = _fraction_int_polygcd(_fraction_int_normalize(ac), _fraction_int_normalize(bc))
+        lead = Fraction(g[-1])
+        return _FractionLaurent({i: Fraction(c) / lead for i, c in enumerate(g) if c})
+
+    def to_json(self):
+        return [[k, v.numerator, v.denominator] for k, v in self.items()]
+
+    @classmethod
+    def from_json(cls, data):
+        return cls({int(k): Fraction(int(n), int(d)) for k, n, d in data})
+
+
+def _fraction_polydiv(num, den):
+    num = list(num)
+    dd = len(den) - 1
+    while den[dd] == 0:
+        dd -= 1
+    q = [Fraction(0)] * max(len(num) - dd, 0)
+    for i in range(len(num) - 1 - dd, -1, -1):
+        c = num[i + dd] / den[dd]
+        if c:
+            q[i] = c
+            for j in range(dd + 1):
+                num[i + j] -= c * den[j]
+    return q, num[:dd]
+
+
+def _fraction_int_normalize(coeffs):
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    g = 0
+    for c in ints:
+        g = math.gcd(g, c)
+    if g > 1:
+        ints = [c // g for c in ints]
+    return ints
+
+
+def _fraction_int_polygcd(a, b):
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def primitive(p):
+        g = 0
+        for c in p:
+            g = math.gcd(g, c)
+        return [c // g for c in p] if g > 1 else p
+
+    a, b = trim(list(a)), trim(list(b))
+    if not b:
+        return primitive(a)
+    while b:
+        r = list(a)
+        lb = b[-1]
+        db = len(b) - 1
+        while r and len(r) - 1 >= db:
+            lead = r[-1]
+            shift = len(r) - 1 - db
+            r = [c * lb for c in r]
+            for i, bc in enumerate(b):
+                r[shift + i] -= lead * bc
+            r = trim(r)
+        a, b = b, primitive(trim(r))
+    return primitive(a)
+
+
+# mixed denominators, so sums run over unequal ones and products cancel
+mixed_fraction = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+laurent_dicts = st.dictionaries(st.integers(-4, 4), mixed_fraction, max_size=3)
+
+
+def _agrees(new, old):
+    assert new.items() == old.items()
+    assert all(type(v) is Fraction for _, v in new.items())
+    assert new.to_json() == old.to_json()
+    assert str(new) == str(old)
+    assert new == QLaurent(dict(old.items()))
+    assert hash(new) == hash(tuple(old.items()))
+
+
+@given(laurent_dicts, laurent_dicts, laurent_dicts, st.integers(-3, 3), mixed_fraction,
+       st.integers(0, 3), st.integers(-4, 4), mixed_fraction.filter(bool))
+def test_ring_ops_match_the_fraction_oracle(a, b, c, k, x, n, e, m):
+    new, old = (QLaurent(a), QLaurent(b), QLaurent(c)), tuple(map(_FractionLaurent, (a, b, c)))
+    (a1, b1, c1), (a0, b0, c0) = new, old
+    pairs = [
+        (a1 + b1, a0 + b0), (a1 - b1, a0 - b0), (a1 * b1, a0 * b0), (-a1, -a0),
+        (a1.scale(k), a0.scale(k)), (a1.scale(x), a0.scale(x)), (a1 ** n, a0 ** n),
+        (a1 * b1 + c1, a0 * b0 + c0), ((a1 - c1) * (b1 + c1), (a0 - c0) * (b0 + c0)),
+        (QLaurent.gcd(a1, b1), _FractionLaurent.gcd(a0, b0)),
+        (QLaurent.gcd(a1 * c1, b1 * c1), _FractionLaurent.gcd(a0 * c0, b0 * c0)),
+        (QLaurent.from_json(a1.to_json()), _FractionLaurent.from_json(a0.to_json())),
+        (QLaurent({e: m}) ** -n, _FractionLaurent({e: m}) ** -n),
+    ]
+    if not b0.is_zero():
+        pairs.append(((a1 * b1).exact_div(b1), (a0 * b0).exact_div(b0)))
+        try:
+            quotient = a0.exact_div(b0)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                a1.exact_div(b1)
+        else:
+            pairs.append((a1.exact_div(b1), quotient))
+    for got, want in pairs:
+        _agrees(got, want)
+
+
+def test_equal_values_from_different_routes_are_equal_with_equal_hashes():
+    half = Fraction(1, 2)
+    routes = [
+        [QLaurent({0: Fraction(2, 4)}), QLaurent.one().scale(half), QLaurent.const("1/2"),
+         QLaurent({0: Fraction(1, 3)}) + QLaurent({0: Fraction(1, 6)}),
+         QLaurent({0: Fraction(2, 3)}) * QLaurent({0: Fraction(3, 4)}),
+         QLaurent.from_json([[0, 2, 4]]), QLaurent.u_power(2, 2) ** -1 * QLaurent.u_power(2)],
+        [QLaurent.one(), QLaurent({0: half}) + QLaurent({0: half}), QLaurent.const(2).scale(half),
+         QLaurent({0: Fraction(2, 3)}) * QLaurent({0: Fraction(3, 2)}), QLaurent.q_power(0)],
+        [QLaurent.zero(), QLaurent({1: half}) - QLaurent({1: half}), QLaurent({3: half}).scale(0),
+         QLaurent({0: half}) * QLaurent.zero(), QLaurent.gcd(QLaurent.zero(), QLaurent.zero())],
+        [QLaurent({-1: Fraction(5, 6), 2: -1}),
+         QLaurent({-1: half}) + QLaurent({-1: Fraction(1, 3), 2: -1}),
+         QLaurent({-2: Fraction(5, 12), 1: -half}) * QLaurent({1: 2})],
+    ]
+    for values in routes:
+        for x in values:
+            assert x == values[0] and hash(x) == hash(values[0])
+            assert x.items() == values[0].items() and str(x) == str(values[0])
+    assert QLaurent.one() != QLaurent({0: half}) and QLaurent({0: half}) != QLaurent({0: 2})
 
 
 # -- GroupAlgebraElement -----------------------------------------------------
