@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -48,12 +49,18 @@ def _as_fraction(x) -> Fraction:
 class QLaurent:
     """A Laurent polynomial ``sum c_k u^k`` with ``c_k`` rational.
 
-    Stored sparsely as ``{k: c_k}`` with no zero coefficients.  ``q`` means
-    ``u**4`` throughout; use :meth:`q_power` to build ``q**e`` for a
-    rational ``e`` with ``4*e`` integral.
+    Stored sparsely as integer numerators ``{k: n_k}``, none zero, over one
+    shared denominator ``d``: ``c_k = n_k / d``.  The form is canonical --
+    ``d > 0``, ``gcd(d, n_k...) = 1`` and zero is ``({}, 1)`` -- so equality
+    compares the two fields.  The ring operations run on ints and take a
+    gcd only when a result's denominator is not 1; ``Fraction`` appears
+    only at the boundary (the constructor, :meth:`items`, :meth:`coeff`,
+    :meth:`leading_coeff`, JSON and ``str``).  ``q`` means ``u**4``
+    throughout; use :meth:`q_power` to build ``q**e`` for a rational ``e``
+    with ``4*e`` integral.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
         c: dict[int, Fraction] = {}
@@ -64,31 +71,47 @@ class QLaurent:
                     c[int(k)] = c.get(int(k), Fraction(0)) + v
                     if not c[int(k)]:
                         del c[int(k)]
-        object.__setattr__(self, "_c", c)
+        # the lcm of reduced denominators is already coprime to the numerators
+        d = lcm(*(v.denominator for v in c.values()))
+        object.__setattr__(self, "_c", {k: v.numerator * (d // v.denominator) for k, v in c.items()})
+        object.__setattr__(self, "_d", d)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("QLaurent is immutable")
 
     @classmethod
-    def _trusted(cls, c: dict[int, Fraction]) -> "QLaurent":
-        """Wrap ``c`` as it is: integer keys, nonzero ``Fraction`` values.
+    def _trusted(cls, c: dict[int, int], d: int = 1) -> "QLaurent":
+        """Wrap ``c`` over ``d`` as they are: the canonical form above.
 
         For the ring operations, whose results already have that form;
         the public constructor coerces and merges its input instead.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "_c", c)
+        object.__setattr__(out, "_d", d)
         return out
+
+    @classmethod
+    def _reduced(cls, c: dict[int, int], d: int) -> "QLaurent":
+        """The canonical form of ``c / d``: ``c`` has no zero value, ``d > 0``."""
+        if not c:
+            return cls._trusted(c)
+        if d != 1:
+            g = gcd(d, *c.values())
+            if g != 1:
+                d //= g
+                c = {k: v // g for k, v in c.items()}
+        return cls._trusted(c, d)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "QLaurent":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "QLaurent":
-        return cls({0: 1})
+        return cls._trusted({0: 1})
 
     @classmethod
     def const(cls, x) -> "QLaurent":
@@ -102,21 +125,21 @@ class QLaurent:
     def q_power(cls, e) -> "QLaurent":
         """``q**e`` for rational ``e`` with ``4e`` an integer (``q = u^4``)."""
         e = _as_fraction(e)
-        k = e * 4
-        if k.denominator != 1:
+        if 4 % e.denominator:
             raise ValueError(f"exponent {e} is not a quarter-integer power of q")
-        return cls({int(k): 1})
+        return cls._trusted({e.numerator * (4 // e.denominator): 1})
 
     # -- structure ----------------------------------------------------------
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._c.items())
+        d = self._d
+        return [(k, Fraction(n, d)) for k, n in sorted(self._c.items())]
 
     def is_zero(self) -> bool:
         return not self._c
 
     def is_one(self) -> bool:
-        return self._c == {0: Fraction(1)}
+        return self._d == 1 and self._c == {0: 1}
 
     def valuation(self) -> int:
         if not self._c:
@@ -129,10 +152,10 @@ class QLaurent:
         return max(self._c)
 
     def leading_coeff(self) -> Fraction:
-        return self._c[self.degree()]
+        return Fraction(self._c[self.degree()], self._d)
 
     def coeff(self, k: int) -> Fraction:
-        return self._c.get(k, Fraction(0))
+        return Fraction(self._c.get(k, 0), self._d)
 
     def is_monomial(self) -> bool:
         return len(self._c) == 1
@@ -140,38 +163,55 @@ class QLaurent:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "QLaurent") -> "QLaurent":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c[k] + v if k in c else v
-        return QLaurent._trusted({k: v for k, v in c.items() if v})
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            c = dict(self._c)
+            for k, v in other._c.items():
+                c[k] = c[k] + v if k in c else v
+        else:
+            d = lcm(d1, d2)
+            m1, m2 = d // d1, d // d2
+            c = {k: v * m1 for k, v in self._c.items()}
+            for k, v in other._c.items():
+                c[k] = c[k] + v * m2 if k in c else v * m2
+            d1 = d
+        c = {k: v for k, v in c.items() if v}
+        if d1 == 1:
+            return QLaurent._trusted(c)
+        return QLaurent._reduced(c, d1)
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         return self + (-other)
 
     def __neg__(self) -> "QLaurent":
-        return QLaurent._trusted({k: -v for k, v in self._c.items()})
+        return QLaurent._trusted({k: -v for k, v in self._c.items()}, self._d)
 
     def __mul__(self, other: "QLaurent") -> "QLaurent":
-        c: dict[int, Fraction] = {}
+        c: dict[int, int] = {}
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():
                 k = k1 + k2
                 s = c.get(k)
                 c[k] = v1 * v2 if s is None else s + v1 * v2
-        return QLaurent._trusted({k: v for k, v in c.items() if v})
+        c = {k: v for k, v in c.items() if v}
+        d = self._d * other._d
+        if d == 1:
+            return QLaurent._trusted(c)
+        return QLaurent._reduced(c, d)
 
     def scale(self, x) -> "QLaurent":
         x = _as_fraction(x)
         if not x:
             return QLaurent.zero()
-        return QLaurent._trusted({k: v * x for k, v in self._c.items()})
+        n = x.numerator
+        return QLaurent._reduced({k: v * n for k, v in self._c.items()}, self._d * x.denominator)
 
     def __pow__(self, n: int) -> "QLaurent":
         if n < 0:
             if not self.is_monomial():
                 raise NotDivisible("negative power of a non-monomial")
             k = self.valuation()
-            c = self._c[k]
+            c = self.coeff(k)
             base = QLaurent({-k: 1 / c})
             return base ** (-n)
         out = QLaurent.one()
@@ -180,7 +220,7 @@ class QLaurent:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QLaurent) and self._c == other._c
+        return isinstance(other, QLaurent) and self._d == other._d and self._c == other._c
 
     def __hash__(self) -> int:
         return hash(tuple(self.items()))
@@ -209,11 +249,14 @@ class QLaurent:
         if not self._c:
             return 0, []
         v, d = self.valuation(), self.degree()
-        return v, [self._c.get(k, Fraction(0)) for k in range(v, d + 1)]
+        return v, [self.coeff(k) for k in range(v, d + 1)]
 
-    @staticmethod
-    def _from_dense(val: int, coeffs: Sequence[Fraction]) -> "QLaurent":
-        return QLaurent._trusted({val + i: c for i, c in enumerate(coeffs) if c})
+    def _primitive(self) -> list[int]:
+        """Ascending primitive integer coefficients of a nonzero element, up to u^k."""
+        c = self._c
+        g = gcd(*c.values())
+        v, top = min(c), max(c)
+        return [c.get(k, 0) // g for k in range(v, top + 1)]
 
     def exact_div(self, den: "QLaurent") -> "QLaurent":
         """Exact quotient in Q[u, u^-1]; raises :class:`NotDivisible`."""
@@ -226,7 +269,7 @@ class QLaurent:
         q, r = _polydiv(nc, dc)
         if any(r):
             raise NotDivisible(f"({self}) is not divisible by ({den})")
-        return QLaurent._from_dense(nv - dv, q)
+        return QLaurent({nv - dv + i: c for i, c in enumerate(q)})
 
     @staticmethod
     def gcd(a: "QLaurent", b: "QLaurent") -> "QLaurent":
@@ -234,21 +277,20 @@ class QLaurent:
 
         Units (nonzero rational multiples of powers of u) are quotiented
         out, so gcd(x, y) of two nonzero monomials is 1.  Computed by a
-        primitive pseudo-remainder sequence over Z to keep coefficients
-        small.
+        primitive pseudo-remainder sequence over Z on the numerators.
         """
         if a.is_zero() and b.is_zero():
             return QLaurent.zero()
         if a.is_zero():
             return QLaurent.gcd(b, a)
-        _, ac = a._dense()
-        if b.is_zero():
-            g = _int_normalize(ac)
-        else:
-            _, bc = b._dense()
-            g = _int_polygcd(_int_normalize(ac), _int_normalize(bc))
-        lead = Fraction(g[-1])
-        return QLaurent._from_dense(0, [Fraction(c) / lead for c in g])
+        g = a._primitive()
+        if not b.is_zero():
+            g = _int_polygcd(g, b._primitive())
+        # g is primitive, so dividing by its leading coefficient leaves it canonical
+        lead = g[-1]
+        if lead < 0:
+            g = [-c for c in g]
+        return QLaurent._trusted({i: c for i, c in enumerate(g) if c}, abs(lead))
 
     # -- serialization ------------------------------------------------------
 
@@ -278,22 +320,14 @@ def _polydiv(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], 
 
 def _int_normalize(coeffs: Sequence[Fraction]) -> list[int]:
     """Rescale a Fraction list to a primitive integer list (nonzero input)."""
-    from math import gcd as igcd
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // igcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = igcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def _int_polygcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive pseudo-remainder gcd over Z, ascending coefficients."""
-    from math import gcd as igcd
 
     def trim(p):
         while p and p[-1] == 0:
@@ -301,9 +335,7 @@ def _int_polygcd(a: list[int], b: list[int]) -> list[int]:
         return p
 
     def primitive(p):
-        g = 0
-        for c in p:
-            g = igcd(g, c)
+        g = gcd(*p)
         return [c // g for c in p] if g > 1 else p
 
     a, b = trim(list(a)), trim(list(b))
