@@ -33,6 +33,7 @@ GL_m datum with equal exponents t.
 from __future__ import annotations
 
 import itertools
+from math import prod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -337,12 +338,24 @@ def _class_choices(cls: InertialClass, m: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def enumerate_S(p0: NormedParameter) -> list[SChoice]:
+Choices = list[tuple[InertialClass, list[tuple[int, int, int]]]]
+
+
+def _anchor_choices(p0: NormedParameter) -> Choices:
+    """Each self-dual class of the support with its (a+, a-, m_gl) choices."""
+    return [(c, _class_choices(c, p0.m(c.label))) for c in p0.self_dual_support()]
+
+
+def enumerate_S(p0: NormedParameter, choices: Choices | None = None) -> list[SChoice]:
     """All anchor choices: per self-dual class every (a+, a-, m_gl) solving
-    the size-parity identity, combined multiplicatively across classes."""
-    sd = p0.self_dual_support()
-    per_class = [[(c.label,) + triple for triple in _class_choices(c, p0.m(c.label))]
-                 for c in sd]
+    the size-parity identity, combined multiplicatively across classes.
+
+    ``choices`` is :func:`_anchor_choices` of ``p0``, if the caller has it;
+    here and in the counts below it saves building it again.
+    """
+    if choices is None:
+        choices = _anchor_choices(p0)
+    per_class = [[(c.label,) + triple for triple in triples] for c, triples in choices]
     return [SChoice(tuple(combo)) for combo in itertools.product(*per_class)]
 
 
@@ -353,7 +366,7 @@ def enumerate_S(p0: NormedParameter) -> list[SChoice]:
 ENUMERATION_GUARD = 100_000
 
 
-def count_blocks(p0: NormedParameter) -> int:
+def count_blocks(p0: NormedParameter, choices: Choices | None = None) -> int:
     """len(enumerate_blocks(p0)), without enumerating.
 
     The anchor choices are a product over the self-dual classes, and an
@@ -361,19 +374,20 @@ def count_blocks(p0: NormedParameter) -> int:
     so the count is the product over classes of the sum, over the class's
     choices, of 2^(number of type members with a > 0).
     """
+    if choices is None:
+        choices = _anchor_choices(p0)
     total = 1
-    for c in p0.self_dual_support():
+    for c, triples in choices:
         total *= sum(2 ** ((ap > 0 and c.type_plus) + (am > 0 and c.type_minus))
-                     for ap, am, _ in _class_choices(c, p0.m(c.label)))
+                     for ap, am, _ in triples)
     return total
 
 
-def count_match_rows(p0: NormedParameter) -> int:
+def count_match_rows(p0: NormedParameter, choices: Choices | None = None) -> int:
     """len(verify_match(p0)["rows"]): |S| times the size of the support."""
-    n_s = 1
-    for c in p0.self_dual_support():
-        n_s *= len(_class_choices(c, p0.m(c.label)))
-    return n_s * len(p0.support())
+    if choices is None:
+        choices = _anchor_choices(p0)
+    return prod(len(triples) for _, triples in choices) * len(p0.support())
 
 
 def _guard(count: int, what: str) -> None:
@@ -582,11 +596,12 @@ def verify_match(p0: NormedParameter) -> dict:
     through the class's (a+, a-), so it is made once per (class, a+, a-).
     More than ENUMERATION_GUARD rows raise ParameterError.
     """
-    _guard(count_match_rows(p0), "match rows")
+    choices = _anchor_choices(p0)
+    _guard(count_match_rows(p0, choices), "match rows")
     rows = []
     mismatches = 0
     found: dict[tuple, tuple[str, bool, bool]] = {}
-    for S in enumerate_S(p0):
+    for S in enumerate_S(p0, choices):
         s_json = S.to_json()
         anchors = S.anchors()
         for cls in p0.support():
@@ -611,12 +626,13 @@ def enumerate_blocks(p0: NormedParameter) -> list[dict]:
     so it is built once per (class, a+, a-) and shared by the records.
     More than ENUMERATION_GUARD blocks raise ParameterError.
     """
-    _guard(count_blocks(p0), "blocks")
+    choices = _anchor_choices(p0)
+    _guard(count_blocks(p0, choices), "blocks")
     support = p0.support()
     matches = {cls.label: classical_match(cls, p0.m(cls.label)) for cls in support}
     built: dict[tuple, MpHeckePresentation] = {}
     out = []
-    for S in enumerate_S(p0):
+    for S in enumerate_S(p0, choices):
         chars = enumerate_alt_chars(anchor_parameter(p0, S))
         anchors = S.anchors()
         presentations = {}
