@@ -80,7 +80,13 @@ def _json_default(x):
 # rankone-verify
 # ---------------------------------------------------------------------------
 
+# The most points a rankone-verify grid may have.  The sweep runs over the
+# pairs a >= b, so this bounds it at about half a million of them.
+GRID_GUARD = 1_000
+
+
 def parse_grid(spec: str, step: Fraction) -> list[Fraction]:
+    """lo, lo + step, ... up to hi; counted before it is built."""
     try:
         lo_s, hi_s = spec.split("..")
         lo, hi = Fraction(lo_s), Fraction(hi_s)
@@ -88,12 +94,10 @@ def parse_grid(spec: str, step: Fraction) -> list[Fraction]:
         raise InputError(f"bad grid {spec!r}; expected 'lo..hi'")
     if lo > hi or step <= 0:
         raise InputError("empty grid")
-    out = []
-    x = lo
-    while x <= hi:
-        out.append(x)
-        x += step
-    return out
+    count = (hi - lo) // step + 1
+    if count > GRID_GUARD:
+        raise InputError(f"grid of {count} points exceeds the grid guard of {GRID_GUARD}")
+    return [lo + i * step for i in range(count)]
 
 def cmd_rankone_verify(args) -> int:
     grid = parse_grid(args.grid, parse_fraction(args.step))

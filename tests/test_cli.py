@@ -1,8 +1,11 @@
 import hashlib
 import json
 
+from fractions import Fraction as F
+
 import pytest
 
+from mphecke import cli
 from mphecke.cli import main
 
 
@@ -40,6 +43,32 @@ def test_rankone_verify_small_grid(capsys):
 def test_rankone_bad_grid(capsys):
     code, _, err = run(capsys, "rankone-verify", "--grid", "nonsense")
     assert code == 2 and "grid" in err
+
+
+def test_grid_is_counted_before_it_is_built(capsys, monkeypatch):
+    # 1/2..1 at the default step 1/2 has 2 points
+    _, full, _ = run(capsys, "rankone-verify", "--grid", "1/2..1")
+    monkeypatch.setattr(cli, "GRID_GUARD", 2)
+    assert run(capsys, "rankone-verify", "--grid", "1/2..1") == (0, full, "")
+    monkeypatch.setattr(cli, "GRID_GUARD", 1)
+    code, out, err = run(capsys, "rankone-verify", "--grid", "1/2..1")
+    assert code == 2 and out == "" and "2 points exceeds the grid guard of 1" in err
+    # the count alone decides: a grid of about 10^20 points is refused without building it
+    with pytest.raises(cli.InputError, match="400000000000000000001 points"):
+        cli.parse_grid(f"0..{10 ** 20}", F(1, 4))
+
+
+@pytest.mark.parametrize("spec, step", [("0..0", "1"), ("1/2..3", "1/2"), ("-1..7/3", "2/3"),
+                                        ("0..1", "3/4"), ("1..2", "1/3"), ("-5/4..5/4", "1/4")])
+def test_grid_points_match_stepping_from_lo(spec, step):
+    lo, hi = map(F, spec.split(".."))
+    step = F(step)
+    stepped = []
+    x = lo
+    while x <= hi:
+        stepped.append(x)
+        x += step
+    assert cli.parse_grid(spec, step) == stepped
 
 
 def test_hecke_check(capsys):
