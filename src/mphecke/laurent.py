@@ -163,22 +163,20 @@ class QLaurent:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "QLaurent") -> "QLaurent":
-        d1, d2 = self._d, other._d
-        if d1 == d2:
+        d, d2 = self._d, other._d
+        if d == d2:
             c = dict(self._c)
             for k, v in other._c.items():
                 c[k] = c[k] + v if k in c else v
         else:
-            d = lcm(d1, d2)
-            m1, m2 = d // d1, d // d2
+            d = lcm(d, d2)
+            m1, m2 = d // self._d, d // d2
             c = {k: v * m1 for k, v in self._c.items()}
             for k, v in other._c.items():
                 c[k] = c[k] + v * m2 if k in c else v * m2
-            d1 = d
         c = {k: v for k, v in c.items() if v}
-        if d1 == 1:
-            return QLaurent._trusted(c)
-        return QLaurent._reduced(c, d1)
+        # the all-integer path skips the gcd and the extra call
+        return QLaurent._trusted(c) if d == 1 else QLaurent._reduced(c, d)
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         return self + (-other)
@@ -195,9 +193,7 @@ class QLaurent:
                 c[k] = v1 * v2 if s is None else s + v1 * v2
         c = {k: v for k, v in c.items() if v}
         d = self._d * other._d
-        if d == 1:
-            return QLaurent._trusted(c)
-        return QLaurent._reduced(c, d)
+        return QLaurent._trusted(c) if d == 1 else QLaurent._reduced(c, d)
 
     def scale(self, x) -> "QLaurent":
         x = _as_fraction(x)
