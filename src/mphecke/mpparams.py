@@ -33,9 +33,9 @@ GL_m datum with equal exponents t.
 from __future__ import annotations
 
 import itertools
-from math import prod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Mapping
 
 from .hecke import frac_to_json
