@@ -115,9 +115,6 @@ class _FractionLaurent:
     def is_zero(self):
         return not self._c
 
-    def is_monomial(self):
-        return len(self._c) == 1
-
     def __add__(self, other):
         c = dict(self._c)
         for k, v in other._c.items():
