@@ -23,15 +23,24 @@ finite geometric sums, built term by term with no division: with
 
 Parameters are carried as exact exponents of ``q``: ``q_a = q^{a(alpha)}``
 per simple root and ``q_i = q^{b(i)}`` per type-B component whose short
-root has coroot in ``2 Lambda^``.  The extension by an R-group is a
-twisted semidirect product: ``J_r h = (r.h) J_r`` and
-``J_r J_r' = eta(r, r') J_{r r'}`` for a 2-cocycle eta.
+root has coroot in ``2 Lambda^``.  Each :class:`HeckeParams` builds, once,
+a per-simple table of :class:`SimpleCommutation` records: the integer
+root and beta, the coroot as integer numerators over one denominator
+(coroots are rational when a component is rescaled by t > 1), the special
+flag, ``q_a``, ``q_a - 1`` and the left factor of the rule.  The product
+reads every per-root value from that table and pairs, reflects and decides
+descents on int tuples; no value in the table depends on ``lam``.
+
+The extension by an R-group is a twisted semidirect product:
+``J_r h = (r.h) J_r`` and ``J_r J_r' = eta(r, r') J_{r r'}`` for a
+2-cocycle eta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .laurent import GroupAlgebraElement, QLaurent
@@ -77,6 +86,28 @@ def _simple_conjugacy_classes(datum: BasedRootDatum) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
+class SimpleCommutation:
+    """What the commutation rule needs of one simple root, in exact ints.
+
+    ``factor`` is the left factor of the rule, ``q_a - 1`` or, for a
+    special root, ``(q_a - 1) + Z_{-a}((q_a q_i)^(1/2) - (q_a / q_i)^(1/2))``,
+    and ``neg_factor`` its negative; both are zero when every coefficient
+    vanishes (``a(alpha) = 0``, and ``b(i) = 0`` for a special root).
+    """
+
+    root: tuple[int, ...]             # alpha_i
+    beta: tuple[int, ...]             # alpha_i, or 2 alpha_i for a special root
+    coroot: tuple[int, ...]           # numerators of alpha_i^ ...
+    coroot_den: int                   # ... over this common denominator
+    special: bool                     # alpha_i^ in 2 Lambda^
+    q_alpha: QLaurent
+    q_alpha_minus_1: QLaurent
+    qi: Fraction | None               # b(i) of the component, for a special root
+    factor: GroupAlgebraElement
+    neg_factor: GroupAlgebraElement
+
+
+@dataclass(frozen=True)
 class HeckeParams:
     """Exact q-exponents: a(alpha) per simple root, b(i) per type-B component.
 
@@ -86,11 +117,20 @@ class HeckeParams:
     ``q_i`` is present exactly for components whose special simple root has
     coroot in 2 Lambda^, and that the square roots occurring in the
     commutation rule stay inside quarter-integer powers of q.
+
+    Construction also builds the per-simple table ``simples``: one
+    :class:`SimpleCommutation` per simple root, in base order, holding the
+    integer root and coroot, the special flag, ``q_alpha`` and the factor of
+    the commutation rule.  :meth:`q_alpha`, :meth:`special_simple` and
+    :meth:`qi_for_simple` read from it.  Nothing in it depends on a lattice
+    vector.
     """
 
     datum: BasedRootDatum
     alpha_exp: tuple[Fraction, ...]
     qi_exp: Mapping[int, Fraction] = field(default_factory=dict)
+    # built once in __post_init__ from the fields above, never written again
+    simples: tuple[SimpleCommutation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.datum
@@ -102,7 +142,9 @@ class HeckeParams:
             vals = {self.alpha_exp[i] for i in cls}
             if len(vals) > 1:
                 raise InvalidParameters("conjugate simple roots carry unequal exponents")
-        special = self._special_roots()
+        flags = [coroot_in_2Lambda(coroot, d) for _, coroot in d.simple_pairs()]
+        # component index -> simple index of its 2Lambda^ special root
+        special = {_simple_component(d, i): i for i, f in enumerate(flags) if f}
         for ci in self.qi_exp:
             if ci not in special:
                 raise InvalidParameters(f"component {ci} admits no q_i parameter")
@@ -116,22 +158,46 @@ class HeckeParams:
                 if (4 * e).denominator != 1:
                     raise InvalidParameters(
                         f"(a(alpha) +- b(i))/2 = {e} is not a quarter-integer")
+        qi = {si: Fraction(self.qi_exp[ci]) for ci, si in special.items()}
+        object.__setattr__(self, "simples", tuple(
+            self._simple_commutation(i, flags[i], qi.get(i)) for i in range(d.num_simples())))
 
-    def _special_roots(self) -> dict[int, int]:
-        """component index -> simple index of its 2Lambda^ special root."""
+    def _simple_commutation(self, i: int, special: bool, qi: Fraction | None) -> SimpleCommutation:
         d = self.datum
-        return {_simple_component(d, i): i for i in range(d.num_simples())
-                if self.special_simple(i)}
+        root = d.int_simple_roots()[i]
+        coroot = d.simple_pairs()[i][1]
+        den = lcm(*(x.denominator for x in coroot))
+        qa = QLaurent.q_power(self.alpha_exp[i])
+        qa_minus_1 = qa - QLaurent.one()
+        factor = GroupAlgebraElement.const(d.rank, qa_minus_1)
+        if special:
+            a = self.alpha_exp[i]
+            factor = factor + GroupAlgebraElement.monomial(
+                tuple(-x for x in root), QLaurent.q_power((a + qi) / 2) - QLaurent.q_power((a - qi) / 2))
+        return SimpleCommutation(
+            root=root,
+            beta=tuple(2 * x for x in root) if special else root,
+            coroot=tuple(int(x * den) for x in coroot),
+            coroot_den=den,
+            special=special,
+            q_alpha=qa,
+            q_alpha_minus_1=qa_minus_1,
+            qi=qi,
+            factor=factor,
+            neg_factor=-factor,
+        )
 
     def q_alpha(self, i: int) -> QLaurent:
-        return QLaurent.q_power(self.alpha_exp[i])
+        return self.simples[i].q_alpha
 
     def special_simple(self, i: int) -> bool:
-        _, coroot = self.datum.simple_pairs()[i]
-        return coroot_in_2Lambda(coroot, self.datum)
+        return self.simples[i].special
 
     def qi_for_simple(self, i: int) -> Fraction:
-        return Fraction(self.qi_exp[_simple_component(self.datum, i)])
+        qi = self.simples[i].qi
+        if qi is None:
+            raise ValueError(f"simple root {i} is not special and carries no q_i")
+        return qi
 
 
 # ---------------------------------------------------------------------------
@@ -141,31 +207,31 @@ class HeckeParams:
 def commute_zu_ga(lam: Sequence[int], i: int, d: BasedRootDatum, p: HeckeParams) -> GroupAlgebraElement:
     """The lattice-part correction Z_lam U_s - U_s Z_{s lam} for s = s_i.
 
-    The quotient is built as the geometric sum of the module docstring.
+    The quotient is built as the geometric sum of the module docstring,
+    with the left factor of the rule already multiplied into each term:
+    factor * Z_v has the terms c Z_{v + mu} for each c Z_mu of the factor.
     """
-    root, coroot = d.simple_pairs()[i]
-    n = pair(lam, coroot)
-    if n.denominator != 1:
+    rec = p.simples[i]
+    # lam may hold Fractions: pair it exactly, and cast to int only after
+    n = sum(x * y for x, y in zip(lam, rec.coroot))
+    if n % rec.coroot_den:
         raise ValueError(f"{lam} pairs non-integrally with the coroot of simple {i}")
+    n //= rec.coroot_den
     if not n:
-        return GroupAlgebraElement.zero(d.rank)
-    special = p.special_simple(i)
-    if special and n % 2:
-        raise ValueError("coroot in 2 Lambda^ forces even pairings; malformed lattice vector")
-    step = 2 if special else 1
-    c = int(n) // step
-    lam = tuple(int(x) for x in lam)
-    beta = tuple(step * int(x) for x in root)
-    sign = QLaurent.one() if c > 0 else -QLaurent.one()
-    geo = GroupAlgebraElement._trusted(d.rank, {tuple(a - k * b for a, b in zip(lam, beta)): sign
-                                                for k in range(min(c, 0), max(c, 0))})
-    qa_minus_1 = p.q_alpha(i) - QLaurent.one()
-    if not special:
-        return geo.scale(qa_minus_1)
-    a, b = p.alpha_exp[i], p.qi_for_simple(i)
-    factor = GroupAlgebraElement.const(d.rank, qa_minus_1) + GroupAlgebraElement.monomial(
-        tuple(-x for x in root), QLaurent.q_power((a + b) / 2) - QLaurent.q_power((a - b) / 2))
-    return factor * geo
+        return GroupAlgebraElement._trusted(d.rank, {})
+    if rec.special:
+        if n % 2:
+            raise ValueError("coroot in 2 Lambda^ forces even pairings; malformed lattice vector")
+        n //= 2
+    beta = rec.beta
+    ks = range(n) if n > 0 else range(n, 0)
+    t: dict[tuple[int, ...], QLaurent] = {}
+    # the factor's shifts, 0 and -alpha, differ mod beta = 2 alpha: no keys collide
+    for mu, c in (rec.factor if n > 0 else rec.neg_factor)._t.items():
+        v = tuple(int(x) + y for x, y in zip(lam, mu))
+        for k in ks:
+            t[tuple(x - k * y for x, y in zip(v, beta))] = c
+    return GroupAlgebraElement._trusted(d.rank, t)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +311,9 @@ class HeckeElement:
         return HeckeElement(self.datum, self.params, {w: b * c for w, c in self._t.items()})
 
     def __eq__(self, o) -> bool:
-        return (isinstance(o, HeckeElement) and self.datum == o.datum
+        return (isinstance(o, HeckeElement)
+                and (self.datum is o.datum or self.datum == o.datum)
+                and (self.params is o.params or self.params == o.params)
                 and self._t == o._t)
 
     def __hash__(self):
@@ -263,32 +331,37 @@ class HeckeElement:
 def _u_simple_times(i: int, z: HeckeElement) -> HeckeElement:
     """Left multiplication U_{s_i} * z, renormalised."""
     d, p = z.datum, z.params
+    rec = p.simples[i]
     s = d.simple_reflection(i)
-    alpha = d.simple_pairs()[i][0]
-    qa = p.q_alpha(i)
-    qa_minus_1 = qa - QLaurent.one()
+    act = s.act_int
+    alpha = rec.root
+    rank = d.rank
     out: dict[WeylElement, GroupAlgebraElement] = {}
 
     def add(w, b):
         out[w] = out[w] + b if w in out else b
 
     for v, c in z._t.items():
-        sc = c.apply_lattice_map(s.act_int)
-        corr = GroupAlgebraElement.zero(d.rank)
-        for mu, coeff in c.terms():
-            smu = s.act_int(mu)
-            dmu = commute_zu_ga(smu, i, d, p)
-            if not dmu.is_zero():
-                corr = corr + dmu.scale(coeff)
+        sc = GroupAlgebraElement._trusted(rank, {act(mu): x for mu, x in c._t.items()})
+        # minus the sum of coeff * (Z_{s mu} U_s - U_s Z_mu), gathered in one dict
+        corr: dict[tuple[int, ...], QLaurent] = {}
+        for mu, coeff in c._t.items():
+            neg = -coeff
+            for vec, x in commute_zu_ga(act(mu), i, d, p)._t.items():
+                y = x * neg
+                acc = corr.get(vec)
+                corr[vec] = y if acc is None else acc + y
         sv = s * v
-        # l(s_i v) > l(v) exactly when v^-1(alpha_i) is a positive root
-        if d.root_sign(v.inverse().act(alpha)) == 1:
+        # l(s_i v) > l(v) exactly when v^-1(alpha_i) is a positive root;
+        # v^-1 sends x to (signs[j] * x[perm[j]])_j
+        if d.root_sign(tuple(sg * alpha[pj] for pj, sg in zip(v.perm, v.signs))) == 1:
             add(sv, sc)
         else:
-            add(v, sc.scale(qa_minus_1))
-            add(sv, sc.scale(qa))
-        if not corr.is_zero():
-            add(v, -corr)
+            add(v, sc.scale(rec.q_alpha_minus_1))
+            add(sv, sc.scale(rec.q_alpha))
+        corr = {vec: x for vec, x in corr.items() if not x.is_zero()}
+        if corr:
+            add(v, GroupAlgebraElement._trusted(rank, corr))
     return HeckeElement(d, p, out)
 
 
@@ -365,8 +438,8 @@ class ExtendedHeckeElement:
     def __init__(self, datum: BasedRootDatum, params: HeckeParams, cocycle: Cocycle,
                  terms: Mapping[WeylElement, HeckeElement] | None = None):
         for r in cocycle.group:
-            for root, _ in datum.pos_roots:
-                if datum.root_sign(r.act(root)) != 1:
+            for root in datum.int_pos_roots():
+                if datum.root_sign(r.act_int(root)) != 1:
                     raise ValueError(
                         "R-group element does not preserve the positive roots")
         terms = terms or {}
@@ -397,7 +470,9 @@ class ExtendedHeckeElement:
         return not self._t
 
     def __eq__(self, o):
-        return (isinstance(o, ExtendedHeckeElement) and self.datum == o.datum
+        return (isinstance(o, ExtendedHeckeElement)
+                and (self.datum is o.datum or self.datum == o.datum)
+                and (self.params is o.params or self.params == o.params)
                 and self.cocycle == o.cocycle and self._t == o._t)
 
     def __add__(self, o):

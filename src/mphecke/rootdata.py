@@ -137,12 +137,14 @@ class Component:
 @dataclass(frozen=True)
 class BasedRootDatum:
     rank: int
-    pos_roots: tuple[tuple[Vec, Vec], ...]   # (root, coroot), both in Q^rank
+    pos_roots: tuple[tuple[Vec, Vec], ...]   # (root, coroot): root in Z^rank, coroot in Q^rank
     base: tuple[int, ...]                    # indices into pos_roots
     components: tuple[Component, ...] = ()
     # built once in __post_init__ from the fields above, never written again
     _simple_reflections: tuple[WeylElement, ...] = field(init=False, repr=False, compare=False)
     _root_signs: dict[Vec, int] = field(init=False, repr=False, compare=False)
+    _int_roots: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _int_simples: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for root, coroot in self.pos_roots:
@@ -169,6 +171,11 @@ class BasedRootDatum:
         signs = {r: 1 for r in roots}
         signs.update((tuple(-x for x in r), -1) for r in roots)
         object.__setattr__(self, "_root_signs", signs)
+        if any(x.denominator != 1 for r in roots for x in r):
+            raise ValueError("roots must lie in the lattice Z^rank")
+        int_roots = tuple(tuple(int(x) for x in r) for r, _ in self.pos_roots)
+        object.__setattr__(self, "_int_roots", int_roots)
+        object.__setattr__(self, "_int_simples", tuple(int_roots[i] for i in self.base))
 
     # -- views ---------------------------------------------------------------
 
@@ -178,11 +185,22 @@ class BasedRootDatum:
     def simple_reflection(self, i: int) -> WeylElement:
         return self._simple_reflections[i]
 
+    def int_pos_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots as int tuples, in the order of ``pos_roots``."""
+        return self._int_roots
+
+    def int_simple_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The simple roots as int tuples, in base order."""
+        return self._int_simples
+
     def num_simples(self) -> int:
         return len(self.base)
 
-    def root_sign(self, v: Vec) -> int | None:
-        """+1 / -1 if v is a positive/negative root of the datum, else None."""
+    def root_sign(self, v: Sequence) -> int | None:
+        """+1 / -1 if v is a positive/negative root of the datum, else None.
+
+        ``v`` may hold ints or Fractions: ``hash(Fraction(n)) == hash(n)``.
+        """
         return self._root_signs.get(v)
 
     def weyl_order(self) -> int:
@@ -418,15 +436,15 @@ def reduced_word(w: WeylElement, d: BasedRootDatum) -> list[int]:
     length weyl_length(w, d); an element outside the Weyl group of the
     datum raises ValueError.
     """
-    simples = d.simple_pairs()
+    simples = d.int_simple_roots()
     word: list[int] = []
     cur = w
     for _ in range(len(d.pos_roots) + 1):
         if cur.is_identity():
             word.reverse()
             return word
-        for i, (root, _) in enumerate(simples):
-            if d.root_sign(cur.act(root)) == -1:
+        for i, root in enumerate(simples):
+            if d.root_sign(cur.act_int(root)) == -1:
                 word.append(i)
                 cur = cur * d.simple_reflection(i)
                 break

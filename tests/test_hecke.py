@@ -215,6 +215,42 @@ def test_commute_zu_matches_the_division_formula(spec):
                 assert got == _outcome(_commute_by_division, lam, i, d, p), (lam, i, p)
 
 
+# -- equality ----------------------------------------------------------------------
+
+def test_equality_sees_the_parameters():
+    d, p1 = gl2()
+    p2 = HeckeParams(d, (F(2),))
+    assert HeckeElement.one(d, p1) != HeckeElement.one(d, p2)
+    assert HeckeElement.one(d, p1) == HeckeElement.one(d, HeckeParams(d, (F(1),)))
+    flip = WeylElement((0, 1), (1, -1))
+    d2, _ = classical_datum("SO_even", 4)
+    coc = Cocycle([WeylElement.identity(2), flip])
+    q1, q2 = HeckeParams(d2, (F(1), F(1))), HeckeParams(d2, (F(2), F(2)))
+    assert (ExtendedHeckeElement.j_r(d2, q1, coc, flip)
+            != ExtendedHeckeElement.j_r(d2, q2, coc, flip))
+    assert (ExtendedHeckeElement.j_r(d2, q1, coc, flip)
+            == ExtendedHeckeElement.j_r(d2, HeckeParams(d2, (F(1), F(1))), coc, flip))
+
+
+def test_simple_table_matches_the_exponents():
+    """Each per-simple record against the values it is built from."""
+    for d, p in [gl3(), b2(), a1a1(), (lambda d: (d, HeckeParams(d, (F(1),))))(
+            build_O_datum([("A1", 2, 2)], 2))]:
+        assert len(p.simples) == d.num_simples()
+        for i, (rec, (root, coroot)) in enumerate(zip(p.simples, d.simple_pairs())):
+            assert rec.root == tuple(root)
+            assert tuple(F(x, rec.coroot_den) for x in rec.coroot) == tuple(coroot)
+            assert rec.special == all(F(x).denominator == 1 and x % 2 == 0 for x in coroot)
+            assert rec.beta == tuple((2 if rec.special else 1) * x for x in root)
+            assert p.q_alpha(i) == q(p.alpha_exp[i])
+            assert rec.q_alpha_minus_1 == q(p.alpha_exp[i]) - QLaurent.one()
+            assert rec.neg_factor == -rec.factor
+    _, p = b2()
+    assert p.qi_for_simple(1) == F(1, 2)
+    with pytest.raises(ValueError):
+        p.qi_for_simple(0)
+
+
 # -- products ----------------------------------------------------------------------
 
 def test_quadratic_relation_instance():
