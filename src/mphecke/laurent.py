@@ -240,13 +240,6 @@ class QLaurent:
 
     # -- division and gcd ---------------------------------------------------
 
-    def _dense(self) -> tuple[int, list[Fraction]]:
-        """(valuation, ascending coefficient list); zero -> (0, [])."""
-        if not self._c:
-            return 0, []
-        v, d = self.valuation(), self.degree()
-        return v, [self.coeff(k) for k in range(v, d + 1)]
-
     def _primitive(self) -> list[int]:
         """Ascending primitive integer coefficients of a nonzero element, up to u^k."""
         c = self._c
@@ -255,17 +248,36 @@ class QLaurent:
         return [c.get(k, 0) // g for k in range(v, top + 1)]
 
     def exact_div(self, den: "QLaurent") -> "QLaurent":
-        """Exact quotient in Q[u, u^-1]; raises :class:`NotDivisible`."""
+        """Exact quotient in Q[u, u^-1]; raises :class:`NotDivisible`.
+
+        Divides the numerators by the primitive part P of ``den``'s over
+        Z.  By Gauss's lemma, P divides them over Q only if it does over
+        Z, so every step of the long division is an exact integer one;
+        the contents and the two denominators are put back at the end.
+        """
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
         if self.is_zero():
             return QLaurent.zero()
-        nv, nc = self._dense()
-        dv, dc = den._dense()
-        q, r = _polydiv(nc, dc)
-        if any(r):
+        c = self._c
+        nv = min(c)
+        num = [c.get(k, 0) for k in range(nv, max(c) + 1)]
+        p = den._primitive()
+        dd, lead = len(p) - 1, p[-1]
+        q = [0] * max(len(num) - dd, 0)
+        for i in range(len(num) - 1 - dd, -1, -1):
+            x, r = divmod(num[i + dd], lead)
+            if r:
+                break
+            if x:
+                q[i] = x
+                for j, y in enumerate(p):
+                    num[i + j] -= x * y
+        if any(num):
             raise NotDivisible(f"({self}) is not divisible by ({den})")
-        return QLaurent({nv - dv + i: c for i, c in enumerate(q)})
+        # self / den = (num / d) / (g P / den_d) = (num / P) * den_d / (d g)
+        dv, g, m = min(den._c), gcd(*den._c.values()), den._d
+        return QLaurent._reduced({nv - dv + i: x * m for i, x in enumerate(q) if x}, self._d * g)
 
     @staticmethod
     def gcd(a: "QLaurent", b: "QLaurent") -> "QLaurent":
@@ -296,22 +308,6 @@ class QLaurent:
     @classmethod
     def from_json(cls, data: Iterable) -> "QLaurent":
         return cls({int(k): Fraction(int(n), int(d)) for k, n, d in data})
-
-
-def _polydiv(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Dense division with remainder over Q, ascending coefficients."""
-    num = list(num)
-    dd = len(den) - 1
-    while den[dd] == 0:
-        dd -= 1
-    q = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1 - dd, -1, -1):
-        c = num[i + dd] / den[dd]
-        if c:
-            q[i] = c
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    return q, num[:dd]
 
 
 def _int_normalize(coeffs: Sequence[Fraction]) -> list[int]:
