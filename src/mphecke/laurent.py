@@ -250,10 +250,11 @@ class QLaurent:
     def exact_div(self, den: "QLaurent") -> "QLaurent":
         """Exact quotient in Q[u, u^-1]; raises :class:`NotDivisible`.
 
-        Divides the numerators by the primitive part P of ``den``'s over
-        Z.  By Gauss's lemma, P divides them over Q only if it does over
-        Z, so every step of the long division is an exact integer one;
-        the contents and the two denominators are put back at the end.
+        Divides the integer numerators of ``self`` by the primitive part P
+        of the numerators of ``den``.  By Gauss's lemma, P divides them
+        over Q only if it does over Z, so every step of the long division
+        is an exact integer one; the content of ``den`` and the two
+        denominators are put back at the end.
         """
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
