@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .laurent import GroupAlgebraElement, QLaurent
 from .rootdata import (
@@ -85,8 +85,7 @@ def _simple_conjugacy_classes(datum: BasedRootDatum) -> list[list[int]]:
     return list(classes.values())
 
 
-@dataclass(frozen=True)
-class SimpleCommutation:
+class SimpleCommutation(NamedTuple):
     """What the commutation rule needs of one simple root, in exact ints.
 
     ``factor`` is the left factor of the rule, ``q_a - 1`` or, for a
