@@ -25,8 +25,7 @@ from mphecke.hecke import (
     he_mul,
     twist_hecke,
 )
-from mphecke.laurent import GroupAlgebraElement
-from mphecke.laurent import QLaurent
+from mphecke.laurent import GroupAlgebraElement, QLaurent
 from mphecke.rootdata import (
     BasedRootDatum,
     WeylElement,
