@@ -14,7 +14,6 @@ from .rootdata import (
     BasedRootDatum,
     DiagramAutomorphism,
     WeylElement,
-    act,
     braid_order,
     build_O_datum,
     classical_datum,

@@ -348,7 +348,7 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
     qi_by_simple: dict[int, Fraction] = {}
     idx = 0
     for ci, comp in enumerate(datum.components):
-        n_simples = _label_weyl_simples(comp.letter, comp.k)
+        n_simples = sum(1 for r in datum.simple_roots() if any(r[s] for s in comp.slots))
         for j in range(n_simples):
             a, am = flat[idx]
             idx += 1
@@ -371,9 +371,7 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
     except InvalidParameters as e:
         raise InvalidInvariants(str(e))
     _check_r_keeps_parameters(datum, params.alpha_exp, qi_by_simple, cb.r_generators)
-    return HeckePresentation(datum, params.alpha_exp,
-                             tuple(sorted(qi_exp.items())),
-                             cb.r_generators, ())
+    return HeckePresentation(datum, params.alpha_exp, params.qi_exp, cb.r_generators, ())
 
 
 def _check_r_keeps_parameters(datum, alpha_exp: Sequence[Fraction],
@@ -385,12 +383,12 @@ def _check_r_keeps_parameters(datum, alpha_exp: Sequence[Fraction],
     alpha_j, up to sign, with a(alpha_j) = a(alpha_i), and a simple root
     carrying q_i to one carrying the same q_i.
     """
-    simples = datum.simple_pairs()
+    simples = datum.simple_roots()
     index = {}
-    for i, (root, _) in enumerate(simples):
+    for i, root in enumerate(simples):
         index[root] = index[tuple(-x for x in root)] = i
     for r in r_generators:
-        for i, (root, _) in enumerate(simples):
+        for i, root in enumerate(simples):
             j = index.get(r.act(root))
             if j is None:
                 raise InvalidInvariants("an R-group generator does not permute the simple roots")
@@ -398,13 +396,3 @@ def _check_r_keeps_parameters(datum, alpha_exp: Sequence[Fraction],
                 raise InvalidInvariants(
                     f"an R-group generator carries simple root {i} to simple root {j}, "
                     "which has other parameters")
-
-
-def _label_weyl_simples(letter: str, k: int) -> int:
-    if letter == "empty":
-        return 0
-    if letter == "A":
-        return k
-    if letter == "D":
-        return 0 if k == 1 else k
-    return k   # B, C

@@ -63,7 +63,7 @@ class InvalidParameters(ValueError):
 
 def _simple_component(d: BasedRootDatum, i: int) -> int | None:
     """Index of the component whose slots hold simple root i (None if none does)."""
-    root = d.simple_pairs()[i][0]
+    root = d.simple_roots()[i]
     return next((ci for ci, c in enumerate(d.components)
                  if any(root[s] != 0 for s in c.slots)), None)
 
@@ -111,8 +111,9 @@ class HeckeParams:
     """Exact q-exponents: a(alpha) per simple root, b(i) per type-B component.
 
     ``alpha_exp[i]`` is the exponent of ``q_alpha`` for the i-th simple
-    root (base order); ``qi_exp[ci]`` the exponent of ``q_i`` for component
-    ci.  Validation enforces conjugation-invariance of ``alpha_exp``, that
+    root (base order); ``qi_exp`` holds the (ci, exponent of ``q_i``) pairs,
+    sorted by component ci, and construction accepts them as a mapping too.
+    Validation enforces conjugation-invariance of ``alpha_exp``, that
     ``q_i`` is present exactly for components whose special simple root has
     coroot in 2 Lambda^, and that the square roots occurring in the
     commutation rule stay inside quarter-integer powers of q.
@@ -127,7 +128,7 @@ class HeckeParams:
 
     datum: BasedRootDatum
     alpha_exp: tuple[Fraction, ...]
-    qi_exp: Mapping[int, Fraction] = field(default_factory=dict)
+    qi_exp: tuple[tuple[int, Fraction], ...] = ()
     # built once in __post_init__ from the fields above, never written again
     simples: tuple[SimpleCommutation, ...] = field(init=False, repr=False, compare=False)
 
@@ -136,7 +137,8 @@ class HeckeParams:
         if len(self.alpha_exp) != d.num_simples():
             raise InvalidParameters("need one exponent per simple root")
         object.__setattr__(self, "alpha_exp", tuple(Fraction(a) for a in self.alpha_exp))
-        object.__setattr__(self, "qi_exp", dict(self.qi_exp))
+        qi_exp = {ci: Fraction(b) for ci, b in dict(self.qi_exp).items()}
+        object.__setattr__(self, "qi_exp", tuple(sorted(qi_exp.items())))
         for cls in _simple_conjugacy_classes(d):
             vals = {self.alpha_exp[i] for i in cls}
             if len(vals) > 1:
@@ -144,26 +146,26 @@ class HeckeParams:
         flags = [coroot_in_2Lambda(coroot, d) for _, coroot in d.simple_pairs()]
         # component index -> simple index of its 2Lambda^ special root
         special = {_simple_component(d, i): i for i, f in enumerate(flags) if f}
-        for ci in self.qi_exp:
+        for ci in qi_exp:
             if ci not in special:
                 raise InvalidParameters(f"component {ci} admits no q_i parameter")
         for ci in special:
-            if ci not in self.qi_exp:
+            if ci not in qi_exp:
                 raise InvalidParameters(f"component {ci} requires a q_i parameter")
         for ci, si in special.items():
             a = self.alpha_exp[si]
-            b = Fraction(self.qi_exp[ci])
+            b = qi_exp[ci]
             for e in ((a + b) / 2, (a - b) / 2):
                 if (4 * e).denominator != 1:
                     raise InvalidParameters(
                         f"(a(alpha) +- b(i))/2 = {e} is not a quarter-integer")
-        qi = {si: Fraction(self.qi_exp[ci]) for ci, si in special.items()}
+        qi = {si: qi_exp[ci] for ci, si in special.items()}
         object.__setattr__(self, "simples", tuple(
             self._simple_commutation(i, flags[i], qi.get(i)) for i in range(d.num_simples())))
 
     def _simple_commutation(self, i: int, special: bool, qi: Fraction | None) -> SimpleCommutation:
         d = self.datum
-        root = d.int_simple_roots()[i]
+        root = d.simple_roots()[i]
         coroot = d.simple_pairs()[i][1]
         den = lcm(*(x.denominator for x in coroot))
         qa = QLaurent.q_power(self.alpha_exp[i])
@@ -176,7 +178,7 @@ class HeckeParams:
         return SimpleCommutation(
             root=root,
             beta=tuple(2 * x for x in root) if special else root,
-            coroot=tuple(int(x * den) for x in coroot),
+            coroot=tuple(x.numerator * (den // x.denominator) for x in coroot),
             coroot_den=den,
             special=special,
             q_alpha=qa,
@@ -332,7 +334,7 @@ def _u_simple_times(i: int, z: HeckeElement) -> HeckeElement:
     d, p = z.datum, z.params
     rec = p.simples[i]
     s = d.simple_reflection(i)
-    act = s.act_int
+    act = s.act
     alpha = rec.root
     rank = d.rank
     out: dict[WeylElement, GroupAlgebraElement] = {}
@@ -437,18 +439,19 @@ class ExtendedHeckeElement:
     def __init__(self, datum: BasedRootDatum, params: HeckeParams, cocycle: Cocycle,
                  terms: Mapping[WeylElement, HeckeElement] | None = None):
         for r in cocycle.group:
-            for root in datum.int_pos_roots():
-                if datum.root_sign(r.act_int(root)) != 1:
+            for root, _ in datum.pos_roots:
+                if datum.root_sign(r.act(root)) != 1:
                     raise ValueError(
                         "R-group element does not preserve the positive roots")
         terms = terms or {}
         if any(r not in cocycle.group for r in terms):
             raise ValueError("term index outside the stored R-group")
-        t = {r: h for r, h in terms.items() if not h.is_zero()}
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "cocycle", cocycle)
-        object.__setattr__(self, "_t", t)
+        for h in terms.values():
+            h._check(self)   # every term lies in this algebra; _check reads .datum and .params
+        object.__setattr__(self, "_t", {r: h for r, h in terms.items() if not h.is_zero()})
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ExtendedHeckeElement is immutable")
@@ -502,7 +505,7 @@ def twist_hecke(r: WeylElement, h: HeckeElement) -> HeckeElement:
     rinv = r.inverse()
     t = {}
     for w, b in h._t.items():
-        t[r * w * rinv] = b.apply_lattice_map(r.act_int)
+        t[r * w * rinv] = b.apply_lattice_map(r.act)
     return HeckeElement(h.datum, h.params, t)
 
 
@@ -606,7 +609,7 @@ class HeckePresentation:
     cocycle_table: tuple[tuple[tuple, tuple, str], ...] = ()  # ((perm,signs),(perm,signs),"p/q")
 
     def params(self) -> HeckeParams:
-        return HeckeParams(self.datum, self.alpha_exponents, dict(self.qi_exponents))
+        return HeckeParams(self.datum, self.alpha_exponents, self.qi_exponents)
 
     def to_json(self) -> dict:
         return {

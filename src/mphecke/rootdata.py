@@ -2,10 +2,12 @@
 
 A datum carries an explicit list of positive (root, coroot) pairs inside
 ``Z^rank`` with the standard pairing, a base, and per-component metadata
-(type letter, size, orbit rescaling ``t``).  Weyl elements are concrete
-signed permutations, so lengths, actions and reduced words are exact
-integer computations and word reduction is verification rather than
-definition.
+(type letter, size, orbit rescaling ``t``).  Roots are int tuples and
+coroots ``Fraction`` tuples (a coroot is rational once ``t > 1``); the
+classical data and the classified ones come from one component emitter.
+Weyl elements are concrete signed permutations, so lengths, actions and
+reduced words are exact integer computations and word reduction is
+verification rather than definition.
 
 Degenerate components keep their labels: a B_1 or C_1 component is a
 single root, a D_1 component is an empty root system occupying one
@@ -59,16 +61,11 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.perm == tuple(range(self.rank)) and all(s == 1 for s in self.signs)
 
-    def act(self, v: Sequence) -> Vec:
-        out = [Fraction(0)] * self.rank
-        for i, x in enumerate(v):
-            out[self.perm[i]] += self.signs[i] * Fraction(x)
-        return tuple(out)
-
-    def act_int(self, v: Sequence[int]) -> tuple[int, ...]:
+    def act(self, v: Sequence) -> tuple:
+        """The image of v, with no coercion: ints stay ints, Fractions stay Fractions."""
         out = [0] * self.rank
         for i, x in enumerate(v):
-            out[self.perm[i]] += self.signs[i] * int(x)
+            out[self.perm[i]] = self.signs[i] * x
         return tuple(out)
 
     def __mul__(self, o: "WeylElement") -> "WeylElement":
@@ -137,24 +134,32 @@ class Component:
 @dataclass(frozen=True)
 class BasedRootDatum:
     rank: int
-    pos_roots: tuple[tuple[Vec, Vec], ...]   # (root, coroot): root in Z^rank, coroot in Q^rank
+    # (root, coroot): stored as an int root in Z^rank and a Fraction coroot in Q^rank
+    pos_roots: tuple[tuple[tuple[int, ...], Vec], ...]
     base: tuple[int, ...]                    # indices into pos_roots
     components: tuple[Component, ...] = ()
     # built once in __post_init__ from the fields above, never written again
     _simple_reflections: tuple[WeylElement, ...] = field(init=False, repr=False, compare=False)
-    _root_signs: dict[Vec, int] = field(init=False, repr=False, compare=False)
-    _int_roots: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _int_simples: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _root_signs: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _simple_roots: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        pos = []
         for root, coroot in self.pos_roots:
             if len(root) != self.rank or len(coroot) != self.rank:
                 raise ValueError("root length mismatch")
-            if pair(root, coroot) != 2:
+            int_root = tuple(map(int, root))
+            if int_root != tuple(root):
+                raise ValueError("roots must lie in the lattice Z^rank")
+            coroot = _vec(coroot)
+            if pair(int_root, coroot) != 2:
                 raise ValueError(f"<a, a^> != 2 for {root}, {coroot}")
+            pos.append((int_root, coroot))
+        object.__setattr__(self, "pos_roots", tuple(pos))
         roots = {r for r, _ in self.pos_roots}
         for r in roots:
-            if tuple(2 * x for x in r) in roots or tuple(x / 2 for x in r) in roots:
+            # as this runs over every root, it also catches a root whose half is one
+            if tuple(2 * x for x in r) in roots:
                 raise ValueError("root system is not reduced")
             if tuple(-x for x in r) in roots:
                 raise ValueError("positive roots contain an opposite pair")
@@ -171,27 +176,19 @@ class BasedRootDatum:
         signs = {r: 1 for r in roots}
         signs.update((tuple(-x for x in r), -1) for r in roots)
         object.__setattr__(self, "_root_signs", signs)
-        if any(x.denominator != 1 for r in roots for x in r):
-            raise ValueError("roots must lie in the lattice Z^rank")
-        int_roots = tuple(tuple(int(x) for x in r) for r, _ in self.pos_roots)
-        object.__setattr__(self, "_int_roots", int_roots)
-        object.__setattr__(self, "_int_simples", tuple(int_roots[i] for i in self.base))
+        object.__setattr__(self, "_simple_roots", tuple(self.pos_roots[i][0] for i in self.base))
 
     # -- views ---------------------------------------------------------------
 
-    def simple_pairs(self) -> list[tuple[Vec, Vec]]:
+    def simple_pairs(self) -> list[tuple[tuple[int, ...], Vec]]:
         return [self.pos_roots[i] for i in self.base]
 
     def simple_reflection(self, i: int) -> WeylElement:
         return self._simple_reflections[i]
 
-    def int_pos_roots(self) -> tuple[tuple[int, ...], ...]:
-        """The positive roots as int tuples, in the order of ``pos_roots``."""
-        return self._int_roots
-
-    def int_simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        """The simple roots as int tuples, in base order."""
-        return self._int_simples
+    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The simple roots, in base order."""
+        return self._simple_roots
 
     def num_simples(self) -> int:
         return len(self.base)
@@ -227,11 +224,9 @@ class DiagramAutomorphism:
     datum: BasedRootDatum
 
     def __post_init__(self):
-        simples = {r for r, _ in self.datum.simple_pairs()}
-        for r, cr in self.datum.simple_pairs():
-            img = self.map.act(r)
-            if img not in simples:
-                raise ValueError("automorphism does not permute the base")
+        simples = set(self.datum.simple_roots())
+        if any(self.map.act(r) not in simples for r in simples):
+            raise ValueError("automorphism does not permute the base")
         # pairings are preserved by any signed permutation acting on both sides
 
 
@@ -239,98 +234,46 @@ class DiagramAutomorphism:
 # Construction of the classical data
 # ---------------------------------------------------------------------------
 
-def _e(i: int, n: int, c=1) -> Vec:
-    return tuple(Fraction(c) if j == i else Fraction(0) for j in range(n))
-
-
-def _addv(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _subv(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _scalev(a: Vec, c) -> Vec:
-    return tuple(Fraction(c) * x for x in a)
-
-
 def classical_datum(kind: str, size: int) -> tuple[BasedRootDatum, DiagramAutomorphism | None]:
     """Standard datum for GL_m, SO_odd(2n+1), Sp(2n), SO_even(2n), O_even(2n).
 
     O_even returns the SO_even datum together with the order-2 diagram
     automorphism (the outer flip); all other kinds return (datum, None).
+    A size with no roots keeps the label "empty", except SO_even(2),
+    which is D1.
     """
     if kind == "GL":
-        m = size
-        if m < 1:
+        if size < 1:
             raise ValueError("GL size must be >= 1")
-        n = m
-        pos, base = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = _subv(_e(i, n), _e(j, n))
-                pos.append((v, v))
-                if j == i + 1:
-                    base.append(len(pos) - 1)
-        comp = Component("A", m - 1, 1, tuple(range(n))) if m >= 2 else Component("empty", 0, 1, tuple(range(n)))
-        return BasedRootDatum(n, tuple(pos), tuple(base), (comp,)), None
-
-    if kind == "SO_odd":
+        letter, n = "A", size
+    elif kind == "SO_odd":
         if size < 1 or size % 2 == 0:
             raise ValueError("SO_odd size must be odd and >= 1")
-        n = (size - 1) // 2
-        return _bcd_datum(n, "B"), None
-
-    if kind == "Sp":
+        letter, n = "B", (size - 1) // 2
+    elif kind == "Sp":
         if size < 0 or size % 2:
             raise ValueError("Sp size must be even")
-        n = size // 2
-        return _bcd_datum(n, "C"), None
-
-    if kind in ("SO_even", "O_even"):
+        letter, n = "C", size // 2
+    elif kind in ("SO_even", "O_even"):
         if size < 0 or size % 2:
             raise ValueError("even orthogonal size must be even")
-        n = size // 2
-        datum = _bcd_datum(n, "D")
-        if kind == "SO_even":
-            return datum, None
-        if n < 1:
+        letter, n = "D", size // 2
+        if kind == "O_even" and n < 1:
             raise ValueError("O_even needs size >= 2")
-        flip = WeylElement(tuple(range(n)), tuple([1] * (n - 1) + [-1]))
-        return datum, DiagramAutomorphism(flip, datum)
-
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _bcd_datum(n: int, letter: str) -> BasedRootDatum:
-    pos: list[tuple[Vec, Vec]] = []
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    k = n - 1 if letter == "A" else n
+    if k == 0:
+        letter = "empty"
+    slots = tuple(range(n))
+    pos: list = []
     base: list[int] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _subv(_e(i, n), _e(j, n))
-            pos.append((v, v))
-            if j == i + 1:
-                base.append(len(pos) - 1)
-            w = _addv(_e(i, n), _e(j, n))
-            pos.append((w, w))
-            if letter == "D" and i == n - 2 and j == n - 1:
-                base.append(len(pos) - 1)
-    if letter == "B":
-        for i in range(n):
-            pos.append((_e(i, n), _e(i, n, 2)))
-            if i == n - 1:
-                base.append(len(pos) - 1)
-    elif letter == "C":
-        for i in range(n):
-            pos.append((_e(i, n, 2), _e(i, n)))
-            if i == n - 1:
-                base.append(len(pos) - 1)
-    if letter == "D" and n == 1:
-        comp = Component("D", 1, 1, (0,))
-        return BasedRootDatum(1, (), (), (comp,))
-    comp = Component(letter, n, 1, tuple(range(n))) if n >= 1 else Component("empty", 0, 1, ())
-    return BasedRootDatum(n, tuple(pos), tuple(base), (comp,))
+    _emit_component(pos, base, letter, k, 1, slots, n)
+    datum = BasedRootDatum(n, tuple(pos), tuple(base), (Component(letter, k, 1, slots),))
+    if kind != "O_even":
+        return datum, None
+    flip = WeylElement(tuple(range(n)), tuple([1] * (n - 1) + [-1]))
+    return datum, DiagramAutomorphism(flip, datum)
 
 
 def build_O_datum(components: Sequence[tuple[str, int, int]], ambient_rank: int) -> BasedRootDatum:
@@ -343,7 +286,7 @@ def build_O_datum(components: Sequence[tuple[str, int, int]], ambient_rank: int)
     the short root of a B-shaped system.  Roots are t * standard and
     coroots standard / t, so <a, a^> = 2 always holds.
     """
-    pos: list[tuple[Vec, Vec]] = []
+    pos: list = []
     base: list[int] = []
     comps: list[Component] = []
     offset = 0
@@ -373,36 +316,35 @@ def parse_label(label: str) -> tuple[str, int]:
 
 
 def _emit_component(pos, base, letter, k, t, slots, n):
-    def emb(local: Vec) -> Vec:
-        out = [Fraction(0)] * n
-        for idx, s in enumerate(slots):
-            out[s] = local[idx]
-        return tuple(out)
+    """Append one component's positive (root, coroot) pairs to ``pos`` and its base to ``base``.
 
+    The component lies on ``slots`` of Z^n.  Each standard positive root
+    v (e_i - e_j; also e_i + e_j outside type A, e_i in type B and 2 e_i
+    in type C) gives the root t * v and the coroot 2 v / (t <v, v>).
+    """
     if letter == "empty" or (letter == "D" and k == 1):
         return
     m = len(slots)
-    if letter == "A":
-        for i in range(m):
-            for j in range(i + 1, m):
-                v = _subv(_e(i, m), _e(j, m))
-                pos.append((emb(_scalev(v, t)), emb(_scalev(v, Fraction(1, t)))))
-                if j == i + 1:
-                    base.append(len(pos) - 1)
-        return
+
+    def add(v: dict[int, int], simple: bool):
+        norm = t * sum(c * c for c in v.values())
+        root, coroot = [0] * n, [Fraction(0)] * n
+        for j, c in v.items():
+            root[slots[j]] = t * c
+            coroot[slots[j]] = Fraction(2 * c, norm)
+        if simple:
+            base.append(len(pos))
+        pos.append((tuple(root), tuple(coroot)))
+
     for i in range(m):
         for j in range(i + 1, m):
-            for v in (_subv(_e(i, m), _e(j, m)), _addv(_e(i, m), _e(j, m))):
-                pos.append((emb(_scalev(v, t)), emb(_scalev(v, Fraction(1, t)))))
-                if v == _subv(_e(i, m), _e(j, m)) and j == i + 1:
-                    base.append(len(pos) - 1)
-                if letter == "D" and v == _addv(_e(m - 2, m), _e(m - 1, m)) and i == m - 2 and j == m - 1:
-                    base.append(len(pos) - 1)
-    if letter == "B":
+            add({i: 1, j: -1}, j == i + 1)
+            if letter != "A":
+                add({i: 1, j: 1}, letter == "D" and j == m - 1 and i == m - 2)
+    if letter in ("B", "C"):
+        c = 1 if letter == "B" else 2
         for i in range(m):
-            pos.append((emb(_scalev(_e(i, m), t)), emb(_scalev(_e(i, m), Fraction(2, t)))))
-            if i == m - 1:
-                base.append(len(pos) - 1)
+            add({i: c}, i == m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +362,6 @@ def weyl_length(w: WeylElement, d: BasedRootDatum) -> int:
     return count
 
 
-def act(w: WeylElement, lam: Sequence) -> tuple:
-    """Signed-permutation action on a lattice vector."""
-    out = w.act(lam)
-    if all(x.denominator == 1 for x in out):
-        return tuple(int(x) for x in out)
-    return out
-
-
 def reduced_word(w: WeylElement, d: BasedRootDatum) -> list[int]:
     """A reduced word for w in the simple reflections of d.
 
@@ -436,7 +370,7 @@ def reduced_word(w: WeylElement, d: BasedRootDatum) -> list[int]:
     length weyl_length(w, d); an element outside the Weyl group of the
     datum raises ValueError.
     """
-    simples = d.int_simple_roots()
+    simples = d.simple_roots()
     word: list[int] = []
     cur = w
     for _ in range(len(d.pos_roots) + 1):
@@ -444,7 +378,7 @@ def reduced_word(w: WeylElement, d: BasedRootDatum) -> list[int]:
             word.reverse()
             return word
         for i, root in enumerate(simples):
-            if d.root_sign(cur.act_int(root)) == -1:
+            if d.root_sign(cur.act(root)) == -1:
                 word.append(i)
                 cur = cur * d.simple_reflection(i)
                 break

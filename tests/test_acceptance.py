@@ -155,7 +155,7 @@ def test_criterion_2_hecke_presentation():
 # -- criterion 3 ------------------------------------------------------------------
 
 def _orbit_sum(d, p, lam):
-    vecs = sorted({w.act_int(lam) for w in weyl_enumerate(d)})
+    vecs = sorted({w.act(lam) for w in weyl_enumerate(d)})
     out = HeckeElement.zero(d, p)
     for v in vecs:
         out = out + HeckeElement.from_z(d, p, v)
@@ -209,7 +209,7 @@ def test_criterion_4_classification_table():
     cb = classify(BlockDescriptor("Mp", 1, (L(1, 4, True, False, True),)))
     assert cb.r_order == 2
     g = cb.r_generators[0]
-    assert g.act_int((0, 0, 1, -1)) == (0, 0, 1, 1)   # exchanges the fork roots
+    assert g.act((0, 0, 1, -1)) == (0, 0, 1, 1)   # exchanges the fork roots
     cb_gl = classify(BlockDescriptor("GL", 0, (L(2, 4, False, False, False),)))
     assert cb_gl.r_order == 24                        # S_4
 

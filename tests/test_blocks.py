@@ -164,7 +164,7 @@ def test_r_group_d_line_is_z2():
     assert g == WeylElement((0, 1, 2, 3), (1, 1, 1, -1))
     fork = (0, 0, 1, 1)
     sub = (0, 0, 1, -1)
-    assert g.act_int(sub) == fork and g.act_int(fork) == sub
+    assert g.act(sub) == fork and g.act(fork) == sub
 
 
 def test_r_group_b_line_trivial():

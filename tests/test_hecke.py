@@ -91,6 +91,16 @@ def test_qi_zero_exponent_allowed():
     HeckeParams(d, (F(1), F(1)), {0: F(0)})
 
 
+def test_equal_params_hash_equal_and_key_a_dict():
+    d, p = b2()
+    same = HeckeParams(d, (F(1), F(3, 2)), ((0, F(1, 2)),))
+    assert p.qi_exp == same.qi_exp == ((0, F(1, 2)),)
+    assert p == same and hash(p) == hash(same)
+    table = {p: "b2", gl2()[1]: "gl2"}
+    assert table[same] == "b2"
+    assert HeckeParams(d, (F(1), F(3, 2)), {0: F(3, 2)}) not in table
+
+
 # -- commutation rule -------------------------------------------------------------
 
 def test_commute_zu_gl2():
@@ -372,7 +382,7 @@ def test_center_gl2():
 def orbit_sum(d, p, lam):
     seen = set()
     for w in weyl_enumerate(d):
-        seen.add(w.act_int(lam))
+        seen.add(w.act(lam))
     out = HeckeElement.zero(d, p)
     for v in sorted(seen):
         out = out + HeckeElement.from_z(d, p, v)
@@ -449,6 +459,17 @@ def test_ext_rejects_non_positivity_preserving_r():
     coc_bad = Cocycle([e, bad])
     with pytest.raises(ValueError):
         ExtendedHeckeElement.j_r(d, p, coc_bad, bad)
+
+
+def test_ext_rejects_a_term_from_another_algebra():
+    d, p, flip, coc = d2_setup()
+    with pytest.raises(ValueError, match="parameter mismatch"):
+        ExtendedHeckeElement(d, p, coc, {flip: HeckeElement.one(d, HeckeParams(d, (F(2), F(2))))})
+    with pytest.raises(ValueError, match="datum mismatch"):
+        ExtendedHeckeElement(d, p, coc, {flip: HeckeElement.one(*gl2())})
+    # an equal parameter set built apart is the same algebra
+    x = ExtendedHeckeElement(d, p, coc, {flip: HeckeElement.one(d, HeckeParams(d, (F(1), F(1))))})
+    assert x == ExtendedHeckeElement.j_r(d, p, coc, flip)
 
 
 def test_nontrivial_cocycle_validated_and_used():

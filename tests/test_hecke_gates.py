@@ -54,7 +54,7 @@ def _special_simple(p, i):
 
 
 def _qi_for_simple(p, i):
-    return Fraction(p.qi_exp[_simple_component(p.datum, i)])
+    return Fraction(dict(p.qi_exp)[_simple_component(p.datum, i)])
 
 
 def _oracle_reduced_word(w: WeylElement, d: BasedRootDatum) -> list[int]:
@@ -113,10 +113,10 @@ def _oracle_u_simple_times(i: int, z: HeckeElement) -> HeckeElement:
         out[w] = out[w] + b if w in out else b
 
     for v, c in z._t.items():
-        sc = c.apply_lattice_map(s.act_int)
+        sc = c.apply_lattice_map(s.act)
         corr = GroupAlgebraElement.zero(d.rank)
         for mu, coeff in c.terms():
-            smu = s.act_int(mu)
+            smu = s.act(mu)
             dmu = _oracle_commute_zu_ga(smu, i, d, p)
             if not dmu.is_zero():
                 corr = corr + dmu.scale(coeff)

@@ -5,7 +5,6 @@ import pytest
 
 from mphecke.rootdata import (
     WeylElement,
-    act,
     braid_order,
     build_O_datum,
     classical_datum,
@@ -109,10 +108,10 @@ def test_reduced_word_rejects_outsiders():
 
 def test_act():
     flip2 = WeylElement((0, 1), (1, -1))
-    assert act(flip2, (3, 5)) == (3, -5)
+    assert flip2.act((3, 5)) == (3, -5)
     d = datum("GL", 2)
-    assert act(d.simple_reflection(0), (1, 0)) == (0, 1)
-    assert act(WeylElement.identity(2), (7, -2)) == (7, -2)
+    assert d.simple_reflection(0).act((1, 0)) == (0, 1)
+    assert WeylElement.identity(2).act((7, -2)) == (7, -2)
 
 
 # -- braid orders and coroots ---------------------------------------------------

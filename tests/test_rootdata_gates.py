@@ -17,6 +17,7 @@ from mphecke.rootdata import (
     Component,
     DiagramAutomorphism,
     WeylElement,
+    build_O_datum,
     classical_datum,
 )
 
@@ -134,3 +135,28 @@ def test_d1_stays_d1():
     d, _ = classical_datum("SO_even", 2)
     assert [c.label for c in d.components] == ["D1"]
     assert d.rank == 1 and not d.pos_roots
+
+
+# -- one exact form ---------------------------------------------------------------
+
+def _is_int_tuple(v) -> bool:
+    return type(v) is tuple and all(type(x) is int for x in v)
+
+
+def test_roots_are_int_tuples_and_coroots_fractions():
+    data = [classical_datum(kind, size)[0] for kind, size in CASES]
+    data += [build_O_datum([("A1", 2, 2)], 2), build_O_datum([("B2", 2, 2)], 2)]
+    for d in data:
+        for root, coroot in d.pos_roots:
+            assert _is_int_tuple(root), (d, root)
+            assert type(coroot) is tuple and all(type(x) is Fraction for x in coroot), (d, coroot)
+        assert all(_is_int_tuple(r) for r in d.simple_roots())
+
+
+def test_act_keeps_the_coordinate_type():
+    w = WeylElement((1, 0, 2), (1, -1, -1))
+    got = w.act((3, -5, 0))
+    assert got == (5, 3, 0) and _is_int_tuple(got)
+    got = w.act((Fraction(1, 2), Fraction(-5), Fraction(0)))
+    assert got == (5, Fraction(1, 2), 0)
+    assert all(type(x) is Fraction for x in got)
