@@ -240,6 +240,22 @@ def test_mp_json_matches_the_per_class_loops(tmp_path, capsys):
         assert mpparams.enumerate_blocks(p0) == _oracle_enumerate_blocks(p0)
 
 
+def test_mp_enumerate_layouts_match_the_per_class_loops(tmp_path, capsys):
+    largest = sorted(pool_parameters(8), key=mpparams.count_blocks)[-5:]
+    assert mpparams.count_blocks(largest[0]) > 100
+    path, target = tmp_path / "phi.json", tmp_path / "report.json"
+    layouts = (([], {"separators": (",", ":")}), (["--pretty"], {"indent": 2}))
+    for p0 in pool_parameters(6) + largest:
+        path.write_text(json.dumps(p0.to_json()))
+        for flags, layout in layouts:
+            code = cli.main(["mp-enumerate", str(path), "--out", str(target), *flags])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert out == json.dumps(_oracle_mp_enumerate(p0), sort_keys=True,
+                                     default=cli._json_default, **layout) + "\n", (flags, p0.mult)
+            assert target.read_text() == out
+
+
 # ---------------------------------------------------------------------------
 # |R|: Schreier-Sims against the listed closure
 # ---------------------------------------------------------------------------

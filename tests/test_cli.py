@@ -176,6 +176,25 @@ def test_pretty_flag(capsys):
     assert code == 0 and out.startswith("{\n")
 
 
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # main parses every call with the same parser: no flag of one call may
+    # reach the next, and a parse error leaves nothing behind
+    alone = run(capsys, "weil-example", "--n", "1")
+    assert alone[0] == 0 and not alone[1].startswith("{\n")
+    assert run(capsys, "weil-example", "--n", "1", "--pretty")[1].startswith("{\n")
+    assert run(capsys, "weil-example", "--n", "1") == alone
+    target = tmp_path / "report.json"
+    assert run(capsys, "weil-example", "--n", "1", "--out", str(target))[:2] == alone[:2]
+    target.unlink()
+    assert run(capsys, "weil-example", "--n", "1") == alone
+    assert not target.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["weil-example", "--n", "x", "--pretty"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "weil-example", "--n", "1") == alone
+
+
 def test_byte_determinism_across_processes(tmp_path):
     # identical inputs must give byte-identical output even under different
     # hash seeds (no reliance on set/dict iteration order)
