@@ -9,6 +9,8 @@ deterministic (sorted keys, fixed seeds).
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import random
 import sys
@@ -57,16 +59,34 @@ def parse_fraction(v) -> Fraction:
         raise InputError(f"cannot parse rational {v!r}")
 
 
-def emit(payload, args) -> None:
-    kwargs = {"sort_keys": True, "default": _json_default}
-    if getattr(args, "pretty", False):
-        kwargs["indent"] = 2
-    else:
-        kwargs["separators"] = (",", ":")
-    text = json.dumps(payload, **kwargs)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+def encode(obj, args, depth=0) -> str:
+    """``obj`` as report JSON at nesting ``depth``.  A JSON string holds no raw
+    newline, so indenting each newline moves an ``indent=2`` fragment to ``depth``."""
+    if args.pretty:
+        text = json.dumps(obj, sort_keys=True, default=_json_default, indent=2)
+        return text.replace("\n", "\n" + "  " * depth)
+    return json.dumps(obj, sort_keys=True, default=_json_default, separators=(",", ":"))
+
+
+def _splice(parts, depth, args) -> str:
+    """``encode`` at ``depth`` of a list, or a dict with plain-named keys, of encoded values."""
+    brackets = "[]"
+    if isinstance(parts, dict):
+        colon = ": " if args.pretty else ":"
+        parts, brackets = [f'"{key}"{colon}{parts[key]}' for key in sorted(parts)], "{}"
+    if not parts:
+        return brackets
+    sep = ",\n" + "  " * (depth + 1) if args.pretty else ","
+    return brackets[0] + sep[1:] + sep.join(parts) + sep[1:-2] + brackets[1]
+
+
+def emit(text, args) -> None:
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {args.out}: {e}")
     sys.stdout.write(text + "\n")
 
 
@@ -107,7 +127,7 @@ def cmd_rankone_verify(args) -> int:
             if a >= b and a > 0:
                 rows.extend(rankone.quadratic_report(a, b))
     ok = all(row["quadratic_ok"] for row in rows)
-    emit({"schema": "v1", "results": rows, "all_ok": ok}, args)
+    emit(encode({"schema": "v1", "results": rows, "all_ok": ok}, args), args)
     return 0 if ok else 1
 
 
@@ -191,7 +211,7 @@ def run_hecke_suite(max_rank: int = 4, n_triples: int = 25, seed: int = 20250809
 
 def cmd_hecke_check(args) -> int:
     rep = run_hecke_suite(max_rank=args.max_rank)
-    emit(rep, args)
+    emit(encode(rep, args), args)
     return 0 if rep["all_ok"] else 1
 
 
@@ -207,7 +227,7 @@ def cmd_blocks_classify(args) -> int:
         cb = blocks_mod.classify(bd)
     except (blocks_mod.DescriptorError, KeyError, TypeError) as e:
         raise InputError(f"descriptor invalid: {e}")
-    emit(cb.to_json(), args)
+    emit(encode(cb.to_json(), args), args)
     return 0
 
 
@@ -226,41 +246,32 @@ def _load_phi0(path: str) -> mpparams.NormedParameter:
 
 def cmd_mp_enumerate(args) -> int:
     p0 = _load_phi0(args.input)
-    blocks = mpparams.enumerate_blocks(p0)
-    # The records share their presentation objects, so each distinct one is
-    # serialised once; ``blocks`` keeps every key's object alive meanwhile.
-    serialised: dict[int, dict] = {}
-
-    def pres_json(pres):
-        key = id(pres)
-        if key not in serialised:
-            serialised[key] = pres.to_json()
-        return serialised[key]
-
+    # json.dumps of the report, spliced: the rows of one S differ only in
+    # "epsilon" and "epsilon_Z", so the rest of a row is encoded once per S.
     rows = []
-    for b in blocks:
-        rows.append({
-            "S": b["S"].to_json(),
-            "epsilon": b["epsilon"].to_json(),
-            "epsilon_Z": b["epsilon_Z"],
-            "hecke": {label: pres_json(pres) for label, pres in b["hecke"].items()},
-            "classical_match": {label: list(v) for label, v in b["classical_match"].items()},
-        })
-    emit({"schema": "v1", "blocks": rows, "count": len(rows)}, args)
+    for S, group in itertools.groupby(mpparams.enumerate_blocks(p0), key=lambda b: b["S"]):
+        group = list(group)
+        fixed = {"S": S.to_json(), "classical_match": group[0]["classical_match"],
+                 "hecke": {label: pres.to_json() for label, pres in group[0]["hecke"].items()}}
+        fixed = {key: encode(value, args, 3) for key, value in fixed.items()}
+        rows += [_splice({**fixed, "epsilon": encode(b["epsilon"].to_json(), args, 3),
+                          "epsilon_Z": b["epsilon_Z"]}, 2, args) for b in group]
+    emit(_splice({"blocks": _splice(rows, 1, args), "count": len(rows), "schema": '"v1"'}, 0, args),
+         args)
     return 0
 
 
 def cmd_mp_match(args) -> int:
     p0 = _load_phi0(args.input)
     rep = mpparams.verify_match(p0)
-    emit(rep, args)
+    emit(encode(rep, args), args)
     return 0 if rep["mismatches"] == 0 else 1
 
 
 def cmd_weil_example(args) -> int:
     if args.n < 1:
         raise InputError("--n must be >= 1")
-    emit(mpparams.weil_example(args.n), args)
+    emit(encode(mpparams.weil_example(args.n), args), args)
     return 0
 
 
@@ -302,13 +313,12 @@ VERBS = {
 }
 
 
-def build_parser(verbs=tuple(VERBS)) -> argparse.ArgumentParser:
-    """The parser of the named verbs; all of them by default."""
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every verb in ``VERBS``."""
     ap = argparse.ArgumentParser(prog="mphecke",
                                  description="exact Hecke-algebra and block-classification checks")
     sub = ap.add_subparsers(dest="verb", required=True)
-    for verb in verbs:
-        help_text, add_args, func = VERBS[verb]
+    for verb, (help_text, add_args, func) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         add_args(p)
         p.add_argument("--out", help="also write the JSON report to this path")
@@ -317,22 +327,12 @@ def build_parser(verbs=tuple(VERBS)) -> argparse.ArgumentParser:
     return ap
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Parse with a parser holding only the verb named first.
+_process_parser = functools.cache(build_parser)
 
-    Building one subparser instead of six is most of the cost of a short
-    invocation.  Anything the one-verb parser cannot settle alone goes to
-    the full parser, whose usage line names every verb: no verb first
-    (``-h``, an unknown verb, an empty argv), or arguments left over.
-    Errors inside a verb's own arguments are reported by that verb's
-    subparser, which is the same in both parsers.
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in VERBS:
-        args, extra = build_parser((argv[0],)).parse_known_args(argv)
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse with the process's one parser: parsing leaves it unchanged."""
+    return _process_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -171,6 +171,13 @@ def test_out_flag_writes_identical_json(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "weil-example", "--n", "1", "--out", str(target))
+    assert code == 2 and out == "" and err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_pretty_flag(capsys):
     code, out, _ = run(capsys, "weil-example", "--n", "1", "--pretty")
     assert code == 0 and out.startswith("{\n")
