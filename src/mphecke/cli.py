@@ -76,8 +76,8 @@ def _splice(parts, depth, args) -> str:
         parts, brackets = [f'"{key}"{colon}{parts[key]}' for key in sorted(parts)], "{}"
     if not parts:
         return brackets
-    sep = ",\n" + "  " * (depth + 1) if args.pretty else ","
-    return brackets[0] + sep[1:] + sep.join(parts) + sep[1:-2] + brackets[1]
+    nl, step = ("\n" + "  " * depth, "  ") if args.pretty else ("", "")
+    return brackets[0] + nl + step + ("," + nl + step).join(parts) + nl + brackets[1]
 
 
 def emit(text, args) -> None:
@@ -331,7 +331,7 @@ _process_parser = functools.cache(build_parser)
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse with the process's one parser: parsing leaves it unchanged."""
+    """Parse with the process's one parser, built on first use; parsing leaves it unchanged."""
     return _process_parser().parse_args(argv)
 
 
