@@ -141,9 +141,9 @@ def _oracle_enumerate_blocks(p0):
     return out
 
 
-def _oracle_mp_enumerate(p0):
+def _oracle_mp_enumerate(p0, blocks=None):
     rows = []
-    for b in _oracle_enumerate_blocks(p0):
+    for b in _oracle_enumerate_blocks(p0) if blocks is None else blocks:
         rows.append({
             "S": b["S"].to_json(),
             "epsilon": b["epsilon"].to_json(),
@@ -240,19 +240,52 @@ def test_mp_json_matches_the_per_class_loops(tmp_path, capsys):
         assert mpparams.enumerate_blocks(p0) == _oracle_enumerate_blocks(p0)
 
 
+def _cls(label, **kw):
+    return mpparams.InertialClass(label, **{"self_dual": True, **kw})
+
+
+# parameters the pool does not reach, each with what it exercises
+HAND_WRITTEN = [
+    # labels that json.dumps escapes, in an order that is not the label order
+    mpparams.NormedParameter(3, (_cls("zé", type_minus=True), _cls('a"b', type_plus=True),
+                                 _cls("back\\slash", type_plus=True, type_minus=True)),
+                             (("zé", 2), ('a"b', 2), ("back\\slash", 2))),
+    # class order against label order: "b" before "a", and "9" before "10"
+    mpparams.NormedParameter(3, (_cls("b", type_plus=True, type_minus=True), _cls("a", type_plus=True)),
+                             (("b", 3), ("a", 3))),
+    mpparams.NormedParameter(4, (_cls("9", type_plus=True), _cls("10", type_plus=True, type_minus=True, t=2)),
+                             (("9", 4), ("10", 4))),
+    # no blocks: a class with no type member has no choice at odd multiplicity
+    mpparams.NormedParameter(2, (_cls("x", type_plus=True), _cls("odd")), (("x", 3), ("odd", 1))),
+    # a non-self-dual class between two self-dual ones
+    mpparams.NormedParameter(5, (_cls("s", type_plus=True), mpparams.InertialClass("gl", t=2),
+                                 _cls("r", type_minus=True, t=3)), (("s", 3), ("gl", 2), ("r", 3))),
+]
+
+
+def test_hand_written_parameters_reach_their_cases():
+    counts = [mpparams.count_blocks(p0) for p0 in HAND_WRITTEN]
+    assert counts[3] == 0 and all(counts[:3]) and counts[4]
+    labels = [[c.label for c in p0.support()] for p0 in HAND_WRITTEN]
+    assert all(ls != sorted(ls) for ls in labels[:3])
+
+
 def test_mp_enumerate_layouts_match_the_per_class_loops(tmp_path, capsys):
-    largest = sorted(pool_parameters(8), key=mpparams.count_blocks)[-5:]
-    assert mpparams.count_blocks(largest[0]) > 100
+    params = pool_parameters(8) + HAND_WRITTEN
+    assert len(params) == 1189 + len(HAND_WRITTEN)
     path, target = tmp_path / "phi.json", tmp_path / "report.json"
     layouts = (([], {"separators": (",", ":")}), (["--pretty"], {"indent": 2}))
-    for p0 in pool_parameters(6) + largest:
+    for p0 in params:
         path.write_text(json.dumps(p0.to_json()))
+        blocks = _oracle_enumerate_blocks(p0)
+        assert mpparams.enumerate_blocks(p0) == blocks, p0.mult
+        report = _oracle_mp_enumerate(p0, blocks)
         for flags, layout in layouts:
             code = cli.main(["mp-enumerate", str(path), "--out", str(target), *flags])
             out = capsys.readouterr().out
             assert code == 0
-            assert out == json.dumps(_oracle_mp_enumerate(p0), sort_keys=True,
-                                     default=cli._json_default, **layout) + "\n", (flags, p0.mult)
+            assert out == json.dumps(report, sort_keys=True, default=cli._json_default,
+                                     **layout) + "\n", (flags, p0.mult)
             assert target.read_text() == out
 
 

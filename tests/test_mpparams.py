@@ -358,6 +358,38 @@ def test_split_so_partitions():
         assert mp_side == so_side
 
 
+def test_split_so_puts_unipotent_blocks_in_the_tower_of_t():
+    """For the trivial class, each block lands in the tower of sign (-1)^t.
+
+    Lusztig's classification of unipotent representations (IMRN 1995,
+    no. 11) puts each unipotent cuspidal of SO_{2m+1} on a parahoric with
+    reductive quotient SO_{2s^2+2s+1} x O^+-_{2t^2}, so m = s^2 + s + t^2.
+    The anchor choice gives (s, t): {a+, a-} = {s + t, s - t} when
+    a+ = a- (mod 2), and {s + t, t - s - 1} otherwise; its anchor
+    dimension is then 2(s^2 + s + t^2).  This is independent of split_so,
+    which reads the sign off the character.
+
+    Assumption (the paper's abstract does not fix it): t odd means the
+    non-split form, the minus tower.  It agrees with n = 1, where the odd
+    Weil representation of Mp_2 matches the trivial representation of the
+    anisotropic SO(V-) (Waldspurger; Gan-Savin, Compositio 148, 2012).
+    """
+    seen = Counter()
+    for n in range(1, 7):
+        parts = split_so(normed(n, ff=2 * n))
+        for sign in (1, -1):
+            for block in parts[sign]:
+                (_, ap, am, _), = block["S"].entries
+                if (ap - am) % 2 == 0:
+                    s, t = (ap + am) // 2, abs(ap - am) // 2
+                else:
+                    s, t = (abs(ap - am) - 1) // 2, (ap + am + 1) // 2
+                assert member_dim(ap, 0) + member_dim(am, 0) == 2 * (s * s + s + t * t)
+                assert sign == (-1) ** t, (n, ap, am)
+                seen[sign] += 1
+    assert seen[1] > 0 and seen[-1] > 0
+
+
 # -- the Weil blocks -------------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3])
