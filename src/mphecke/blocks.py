@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .hecke import HeckeParams, HeckePresentation, InvalidParameters
+from .hecke import HeckeParams, HeckePresentation, InvalidParameters, json_field
 from .rootdata import (
     Component,
     WeylElement,
@@ -95,12 +95,14 @@ class BlockDescriptor:
 
     @classmethod
     def from_json(cls, data) -> "BlockDescriptor":
+        def get(obj, key, kind, *default):
+            return json_field(obj, key, kind, DescriptorError, *default)
         lines = tuple(
-            CuspidalLine(int(l["d"]), int(l["k"]), bool(l["gl_singular"]),
-                         bool(l["boundary_pole"]), bool(l["self_dual_T"]),
-                         bool(l.get("tau_T", False)))
+            CuspidalLine(get(l, "d", int), get(l, "k", int), get(l, "gl_singular", bool),
+                         get(l, "boundary_pole", bool), get(l, "self_dual_T", bool),
+                         get(l, "tau_T", bool, False))
             for l in data["lines"])
-        return cls(str(data["ambient"]), int(data["h_rank"]), lines)
+        return cls(str(data["ambient"]), get(data, "h_rank", int), lines)
 
 
 @dataclass(frozen=True)
@@ -244,13 +246,6 @@ def _r_group_data(bd: BlockDescriptor, comps: Sequence[ClassifiedComponent],
         signs[p] = -1
         return WeylElement(tuple(range(n)), tuple(signs))
 
-    def swap_flip(p: int, q: int) -> WeylElement:
-        perm = list(range(n))
-        perm[p], perm[q] = q, p
-        signs = [1] * n
-        signs[p] = signs[q] = -1
-        return WeylElement(tuple(perm), tuple(signs))
-
     d_lines = {c.line for c in comps if c.label.startswith("D")}
     for i, line in enumerate(bd.lines):
         off, k = offs[i], line.k
@@ -277,7 +272,8 @@ def _r_group_data(bd: BlockDescriptor, comps: Sequence[ClassifiedComponent],
             if k >= 2:
                 names.append(f"symmetric({k})")
             if line.self_dual_T and k >= 2:
-                gens.append(swap_flip(off + k - 2, off + k - 1))
+                p, q = off + k - 2, off + k - 1
+                gens.append(transposition(p, q) * flip(p) * flip(q))
                 names.append("twisted swap")
             if line.self_dual_T and not line.boundary_pole:
                 gens.append(flip(off + k - 1))

@@ -68,16 +68,18 @@ def encode(obj, args, depth=0) -> str:
     return json.dumps(obj, sort_keys=True, default=_json_default, separators=(",", ":"))
 
 
-def _splice(parts, depth, args) -> str:
-    """``encode`` at ``depth`` of a list, or a dict with plain-named keys, of encoded values."""
-    brackets = "[]"
-    if isinstance(parts, dict):
-        colon = ": " if args.pretty else ":"
-        parts, brackets = [f'"{key}"{colon}{parts[key]}' for key in sorted(parts)], "{}"
+def _splice(parts, depth, args, brackets="[]") -> str:
+    """``encode`` at ``depth`` of a list of encoded values; with ``brackets="{}"``,
+    of an object whose ``_member`` strings are given in sorted-key order."""
     if not parts:
         return brackets
     nl, step = ("\n" + "  " * depth, "  ") if args.pretty else ("", "")
     return brackets[0] + nl + step + ("," + nl + step).join(parts) + nl + brackets[1]
+
+
+def _member(key, value, args) -> str:
+    """An object member: the encoded key, then the encoded ``value``."""
+    return encode(key, args) + (": " if args.pretty else ":") + value
 
 
 def emit(text, args) -> None:
@@ -150,63 +152,39 @@ def _hecke_test_data(max_rank: int):
 
 
 def _random_element(rng, d, p, degree=2, nterms=2):
-    terms = {}
     ws = [d.simple_reflection(i) for i in range(d.num_simples())]
     ws.append(hecke_mod.WeylElement.identity(d.rank))
+    out = hecke_mod.HeckeElement.zero(d, p)
     for _ in range(nterms):
         w = rng.choice(ws)
         vec = tuple(rng.randint(-degree, degree) for _ in range(d.rank))
         coeff = QLaurent({4 * rng.randint(0, 1): Fraction(rng.randint(-3, 3))})
         ga = GroupAlgebraElement.monomial(vec, coeff)
         if not ga.is_zero():
-            h = hecke_mod.HeckeElement.from_u(d, p, w, ga)
-            terms[w] = terms.get(w, hecke_mod.HeckeElement.zero(d, p)) + h
-    out = hecke_mod.HeckeElement.zero(d, p)
-    for h in terms.values():
-        out = out + h
+            out = out + hecke_mod.HeckeElement.from_u(d, p, w, ga)
     return out
 
 
 def run_hecke_suite(max_rank: int = 4, n_triples: int = 25, seed: int = 20250809) -> dict:
-    rng = random.Random(seed)
-    report = []
-    ok = True
+    rng, report, mul = random.Random(seed), [], hecke_mod.he_mul
     for name, d, p in _hecke_test_data(max_rank):
-        entry = {"datum": name}
-        quad = []
-        for i in range(d.num_simples()):
-            u = hecke_mod.HeckeElement.u_simple(d, p, i)
-            one = hecke_mod.HeckeElement.one(d, p)
-            lhs = hecke_mod.he_mul(u + one, u - one.scale(p.q_alpha(i)))
-            quad.append(lhs.is_zero())
-        entry["quadratic"] = all(quad)
+        one = hecke_mod.HeckeElement.one(d, p)
+        us = [hecke_mod.HeckeElement.u_simple(d, p, i) for i in range(d.num_simples())]
+        quad = [mul(u + one, u - one.scale(p.q_alpha(i))).is_zero() for i, u in enumerate(us)]
         braid = []
-        for i in range(d.num_simples()):
-            for j in range(i + 1, d.num_simples()):
-                mij = braid_order(i, j, d)
-                ui = hecke_mod.HeckeElement.u_simple(d, p, i)
-                uj = hecke_mod.HeckeElement.u_simple(d, p, j)
-                cur_l, cur_r = ui, uj
-                for k in range(1, mij):
-                    nxt = uj if k % 2 else ui
-                    cur_l = hecke_mod.he_mul(cur_l, nxt)
-                    nxt = ui if k % 2 else uj
-                    cur_r = hecke_mod.he_mul(cur_r, nxt)
-                braid.append(cur_l == cur_r)
-        entry["braid"] = all(braid)
+        for i, j in itertools.combinations(range(len(us)), 2):
+            cur_l, cur_r = us[i], us[j]
+            for k in range(1, braid_order(i, j, d)):
+                cur_l = mul(cur_l, us[j] if k % 2 else us[i])
+                cur_r = mul(cur_r, us[i] if k % 2 else us[j])
+            braid.append(cur_l == cur_r)
         assoc = []
         for _ in range(n_triples):
-            x = _random_element(rng, d, p)
-            y = _random_element(rng, d, p)
-            z = _random_element(rng, d, p)
-            lhs = hecke_mod.he_mul(hecke_mod.he_mul(x, y), z)
-            rhs = hecke_mod.he_mul(x, hecke_mod.he_mul(y, z))
-            assoc.append(lhs == rhs)
-        entry["associativity"] = all(assoc)
-        entry["ok"] = entry["quadratic"] and entry["braid"] and entry["associativity"]
-        ok = ok and entry["ok"]
-        report.append(entry)
-    return {"schema": "v1", "data": report, "all_ok": ok}
+            x, y, z = (_random_element(rng, d, p) for _ in range(3))
+            assoc.append(mul(mul(x, y), z) == mul(x, mul(y, z)))
+        report.append({"datum": name, "quadratic": all(quad), "braid": all(braid),
+                       "associativity": all(assoc), "ok": all(quad) and all(braid) and all(assoc)})
+    return {"schema": "v1", "data": report, "all_ok": all(entry["ok"] for entry in report)}
 
 
 def cmd_hecke_check(args) -> int:
@@ -245,19 +223,32 @@ def _load_phi0(path: str) -> mpparams.NormedParameter:
 
 
 def cmd_mp_enumerate(args) -> int:
-    p0 = _load_phi0(args.input)
-    # json.dumps of the report, spliced: the rows of one S differ only in
-    # "epsilon" and "epsilon_Z", so the rest of a row is encoded once per S.
+    table = mpparams.enumerate_blocks(_load_phi0(args.input))
+    # json.dumps of the report, spliced from parts encoded once per call: a row
+    # is fixed by S but for "epsilon", one fragment per class in label order, and
+    # "epsilon_Z", the fragments' signs multiplied.  Raw "\0" is never JSON text.
+    row = _splice([_member("S", "\0", args), _member("classical_match", encode(table.matches, args, 3), args),
+                   _member("epsilon", "\0", args), _member("epsilon_Z", "\0", args),
+                   _member("hecke", "\0", args)], 2, args, "{}").split("\0")
+    open_, sep, close = _splice(["\0", "\0"], 3, args).split("\0")
+    hecke = lambda label, pres: (label, _member(label, encode(pres.to_json(), args, 4), args))
+    fixed = [hecke(label, pres) for label, pres in table.fixed.items()]
+    factors = [[(encode(entry, args, 4), hecke(c.label, pres),
+                 [(sep.join(encode([e.label, e.minus, e.a, s], args, 4) for e, s in signs), sign)
+                  for signs, sign in chars]) for entry, pres, chars in choices] for c, choices in table.factors]
+    by_label = sorted(range(len(factors)), key=lambda i: table.factors[i][0].label)
     rows = []
-    for S, group in itertools.groupby(mpparams.enumerate_blocks(p0), key=lambda b: b["S"]):
-        group = list(group)
-        fixed = {"S": S.to_json(), "classical_match": group[0]["classical_match"],
-                 "hecke": {label: pres.to_json() for label, pres in group[0]["hecke"].items()}}
-        fixed = {key: encode(value, args, 3) for key, value in fixed.items()}
-        rows += [_splice({**fixed, "epsilon": encode(b["epsilon"].to_json(), args, 3),
-                          "epsilon_Z": b["epsilon_Z"]}, 2, args) for b in group]
-    emit(_splice({"blocks": _splice(rows, 1, args), "count": len(rows), "schema": '"v1"'}, 0, args),
-         args)
+    for options in itertools.product(*factors):
+        head = row[0] + _splice([o[0] for o in options], 3, args) + row[1]
+        frags = [options[i][2] for i in by_label if options[i][2][0][0]]
+        tail = row[3] + _splice([text for _, text in sorted(fixed + [o[1] for o in options])], 3, args, "{}")
+        tails = {z: (close if frags else "[]") + row[2] + str(z) + tail + row[4] for z in (1, -1)}
+        epsilons = [("", 1)]
+        for k, chars in enumerate(frags):
+            epsilons = [(e + (sep if k else open_) + f, z * y) for e, z in epsilons for f, y in chars]
+        rows += [head + e + tails[z] for e, z in epsilons]
+    emit(_splice([_member("blocks", _splice(rows, 1, args), args), _member("count", str(len(rows)), args),
+                  _member("schema", '"v1"', args)], 0, args, "{}"), args)
     return 0
 
 

@@ -588,6 +588,15 @@ def frac_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def json_field(data: Mapping, key: str, kind: type, error: type, *default):
+    """``data[key]``, or the default if given and the key is absent, if its type is
+    ``kind`` (int or bool: a bool is no int here); else ``error`` is raised."""
+    v = data.get(key, *default) if default else data[key]
+    if type(v) is not kind:
+        raise error(f"{key!r} must be a JSON {kind.__name__}, got {v!r}")
+    return v
+
+
 def frac_from_json(v) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise ValueError("floats are rejected; use int or 'p/q'")

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping
 
-from .hecke import frac_to_json
+from .hecke import frac_to_json, json_field
 
 
 class ParameterError(ValueError):
@@ -140,15 +140,17 @@ class NormedParameter:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "NormedParameter":
+        def get(obj, key, kind, *default):
+            return json_field(obj, key, kind, ParameterError, *default)
         classes = []
         mult = []
         for c in data["classes"]:
             classes.append(InertialClass(
-                str(c["label"]), int(c.get("d", 1)), int(c.get("t", 1)),
-                bool(c.get("self_dual", False)), bool(c.get("type_plus", False)),
-                bool(c.get("type_minus", False))))
-            mult.append((str(c["label"]), int(c["multiplicity"])))
-        return cls(int(data["n"]), tuple(classes), tuple(mult))
+                str(c["label"]), get(c, "d", int, 1), get(c, "t", int, 1),
+                get(c, "self_dual", bool, False), get(c, "type_plus", bool, False),
+                get(c, "type_minus", bool, False)))
+            mult.append((str(c["label"]), get(c, "multiplicity", int)))
+        return cls(get(data, "n", int), tuple(classes), tuple(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +182,7 @@ class DiscreteParameter:
         return _class_by_label(self.classes, label)
 
     def members(self) -> list[tuple[str, bool]]:
-        seen = []
-        for e in self.jord:
-            key = (e.label, e.minus)
-            if key not in seen:
-                seen.append(key)
-        return seen
+        return list(dict.fromkeys((e.label, e.minus) for e in self.jord))
 
     def member_blocks(self, label: str, minus: bool) -> list[int]:
         return sorted(e.a for e in self.jord if e.label == label and e.minus == minus)
@@ -260,41 +257,44 @@ class AltChar:
         return [[e.label, e.minus, e.a, s] for e, s in self.signs]
 
 
+def _class_chars(c: InertialClass, ap: int, am: int) -> list[tuple[tuple, int]]:
+    """The alternating characters on staircases of ap plus and am minus blocks
+    of c, each as its signs in Jordan order with their product.  Down a
+    member's staircase eps(block k) = (-1)^(k-1) eps(block 1); the first
+    sign is free for a type member present and -1 otherwise.
+    """
+    members = ((False, ap, c.kappa_plus), (True, am, c.kappa_minus))
+    chars = []
+    for firsts in itertools.product(*[(1, -1) if a and kappa else (-1,) for _, a, kappa in members]):
+        signs = tuple((JordEntry(c.label, minus, 2 * k - kappa), first * (-1) ** (k - 1))
+                      for (minus, a, kappa), first in zip(members, firsts) for k in range(1, a + 1))
+        chars.append((signs, prod(s for _, s in signs)))
+    return chars
+
+
+def _joined(chars) -> tuple[AltChar, int]:
+    """The character made of per-class characters in label order, with its central value."""
+    return AltChar(sum((signs for signs, _ in chars), ())), prod(z for _, z in chars)
+
+
 def enumerate_alt_chars(p: DiscreteParameter) -> list[AltChar]:
     """All alternating characters on the Jordan blocks of p.
 
-    Within one member the signs alternate down the staircase,
-    eps(block k) = (-1)^(k-1) eps(block 1), and the first sign is forced
-    to -1 for a non-type member.  Each type member present therefore
-    contributes one free sign, so the count is 2^(number of type members
-    present).
+    They are the products of the per-class characters of ``_class_chars``,
+    over the classes in label order, because p.jord is sorted by label
+    first; so the count is 2^(number of type members present).
     """
     if not without_holes(p):
         raise ParameterError("parameter has holes; characters are undefined")
-    # p.jord is sorted, so each member's blocks are consecutive and ascending:
-    # block k of its member is the k-th entry with that (label, minus)
-    place = []
-    seen: dict[tuple[str, bool], int] = {}
-    for e in p.jord:
-        key = (e.label, e.minus)
-        k = seen.get(key, 0)
-        seen[key] = k + 1
-        place.append((e, key, -1 if k % 2 else 1))
-    free = [key for key in seen if p.member_of_type(*key)]
-    chars = []
-    for choice in itertools.product((1, -1), repeat=len(free)):
-        first_sign = dict(zip(free, choice))
-        chars.append(AltChar(tuple((e, first_sign.get(key, -1) * parity)
-                                   for e, key, parity in place)))
-    return chars
+    per_class = [_class_chars(p.cls(label), len(p.member_blocks(label, False)),
+                              len(p.member_blocks(label, True)))
+                 for label in sorted({e.label for e in p.jord})]
+    return [_joined(chars)[0] for chars in itertools.product(*per_class)]
 
 
 def epsilon_Z(e: AltChar) -> int:
     """Value of the character at the central element: product over all blocks."""
-    out = 1
-    for _, s in e.signs:
-        out *= s
-    return out
+    return prod(s for _, s in e.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +325,10 @@ class SChoice:
 
 
 def _class_choices(cls: InertialClass, m: int) -> list[tuple[int, int, int]]:
-    out = []
-    bound = 0
-    while member_dim(bound, 1) <= m:
-        bound += 1
-    for ap in range(bound + 1):
-        for am in range(bound + 1):
-            used = member_dim(ap, cls.kappa_plus) + member_dim(am, cls.kappa_minus)
-            rest = m - used
-            if rest >= 0 and rest % 2 == 0:
-                out.append((ap, am, rest // 2))
-    return sorted(out)
+    bound = next(b for b in itertools.count() if member_dim(b, 1) > m)
+    rests = ((ap, am, m - member_dim(ap, cls.kappa_plus) - member_dim(am, cls.kappa_minus))
+             for ap in range(bound + 1) for am in range(bound + 1))
+    return sorted((ap, am, rest // 2) for ap, am, rest in rests if rest >= 0 and rest % 2 == 0)
 
 
 Choices = list[tuple[InertialClass, list[tuple[int, int, int]]]]
@@ -353,8 +346,7 @@ def enumerate_S(p0: NormedParameter, choices: Choices | None = None) -> list[SCh
     ``choices`` is :func:`_anchor_choices` of ``p0``, if the caller has it;
     here and in the counts below it saves building it again.
     """
-    if choices is None:
-        choices = _anchor_choices(p0)
+    choices = _anchor_choices(p0) if choices is None else choices
     per_class = [[(c.label,) + triple for triple in triples] for c, triples in choices]
     return [SChoice(tuple(combo)) for combo in itertools.product(*per_class)]
 
@@ -367,15 +359,14 @@ ENUMERATION_GUARD = 100_000
 
 
 def count_blocks(p0: NormedParameter, choices: Choices | None = None) -> int:
-    """len(enumerate_blocks(p0)), without enumerating.
+    """The number of blocks of p0, without enumerating them.
 
     The anchor choices are a product over the self-dual classes, and an
     anchor's characters number 2^(type members present), a product too:
     so the count is the product over classes of the sum, over the class's
     choices, of 2^(number of type members with a > 0).
     """
-    if choices is None:
-        choices = _anchor_choices(p0)
+    choices = _anchor_choices(p0) if choices is None else choices
     total = 1
     for c, triples in choices:
         total *= sum(2 ** ((ap > 0 and c.type_plus) + (am > 0 and c.type_minus))
@@ -385,8 +376,7 @@ def count_blocks(p0: NormedParameter, choices: Choices | None = None) -> int:
 
 def count_match_rows(p0: NormedParameter, choices: Choices | None = None) -> int:
     """len(verify_match(p0)["rows"]): |S| times the size of the support."""
-    if choices is None:
-        choices = _anchor_choices(p0)
+    choices = _anchor_choices(p0) if choices is None else choices
     return prod(len(triples) for _, triples in choices) * len(p0.support())
 
 
@@ -619,43 +609,60 @@ def verify_match(p0: NormedParameter) -> dict:
 # Blocks, central signs and the two orthogonal towers
 # ---------------------------------------------------------------------------
 
-def enumerate_blocks(p0: NormedParameter) -> list[dict]:
-    """One record per Bernstein block: anchor choice, character, presentations.
+@dataclass(frozen=True)
+class BlockTable:
+    """The Bernstein blocks of a normed parameter, as a product of per-class factors.
 
-    A class's presentation depends on S only through the class's (a+, a-),
-    so it is built once per (class, a+, a-) and shared by the records.
-    More than ENUMERATION_GUARD blocks raise ParameterError.
+    ``factors``: per self-dual class of the support, in support order, the
+    class and, per (a+, a-, m_gl) choice, its S entry, presentation and
+    ``_class_chars``.  ``fixed``: the presentation of each non-self-dual
+    class; ``matches``: each support class's classical match.  A block is
+    one choice per factor (S in ``itertools.product`` order over the
+    support), then one character per factor (in that order over the
+    classes sorted by label).  A factor with no choice leaves no blocks.
+    """
+
+    factors: tuple
+    fixed: dict[str, MpHeckePresentation]
+    matches: dict[str, tuple[str, int]]
+
+    def records(self):
+        """Yield one record per block: S, epsilon, epsilon_Z, hecke and classical_match."""
+        by_label = sorted(range(len(self.factors)), key=lambda i: self.factors[i][0].label)
+        for options in itertools.product(*(choices for _, choices in self.factors)):
+            S = SChoice(tuple(entry for entry, _, _ in options))
+            hecke = {**self.fixed, **{c.label: o[1] for (c, _), o in zip(self.factors, options)}}
+            for chars in itertools.product(*(options[i][2] for i in by_label)):
+                eps, sign = _joined(chars)
+                yield {"S": S, "epsilon": eps, "epsilon_Z": sign, "hecke": dict(hecke),
+                       "classical_match": dict(self.matches)}
+
+
+def enumerate_blocks(p0: NormedParameter) -> BlockTable:
+    """Every Bernstein block of p0, as per-class factors.
+
+    A class's presentation and characters depend on S only through its
+    (a+, a-), so each is built once per choice, and none when some class
+    has no choice.  More than ENUMERATION_GUARD blocks raise ParameterError.
     """
     choices = _anchor_choices(p0)
-    _guard(count_blocks(p0, choices), "blocks")
+    count = count_blocks(p0, choices)
+    _guard(count, "blocks")
+    if not count:
+        return BlockTable(tuple((c, ()) for c, _ in choices), {}, {})
     support = p0.support()
-    matches = {cls.label: classical_match(cls, p0.m(cls.label)) for cls in support}
-    built: dict[tuple, MpHeckePresentation] = {}
-    out = []
-    for S in enumerate_S(p0, choices):
-        chars = enumerate_alt_chars(anchor_parameter(p0, S))
-        anchors = S.anchors()
-        presentations = {}
-        for cls in support:
-            key = (cls.label, anchors.get(cls.label))
-            if key not in built:
-                built[key] = hecke_for_block(p0, S, cls)
-            presentations[cls.label] = built[key]
-        for eps in chars:
-            out.append({
-                "S": S,
-                "epsilon": eps,
-                "epsilon_Z": epsilon_Z(eps),
-                "hecke": dict(presentations),
-                "classical_match": dict(matches),
-            })
-    return out
+    factors = tuple((c, tuple((entry, hecke_for_block(p0, SChoice((entry,)), c),
+                               _class_chars(c, *entry[1:3]))
+                              for entry in ((c.label,) + triple for triple in triples)))
+                    for c, triples in choices)
+    fixed = {c.label: hecke_for_block(p0, SChoice(()), c) for c in support if not c.self_dual}
+    return BlockTable(factors, fixed, {c.label: classical_match(c, p0.m(c.label)) for c in support})
 
 
 def split_so(p0: NormedParameter) -> dict[int, list[dict]]:
     """Partition of all (S, epsilon) blocks by the central sign."""
     parts: dict[int, list[dict]] = {1: [], -1: []}
-    for block in enumerate_blocks(p0):
+    for block in enumerate_blocks(p0).records():
         parts[block["epsilon_Z"]].append(block)
     return parts
 
@@ -685,13 +692,8 @@ def weil_example(n: int) -> dict:
 
     s_plus = SChoice((("1", 0, 0, n),))
     even = hecke_for_block(p0, s_plus, TRIVIAL_CLASS)
-    anchor_plus = anchor_parameter(p0, s_plus)
-    eps_plus = enumerate_alt_chars(anchor_plus)[0]
-
     s_minus = SChoice((("1", 1, 0, n - 1),))
     odd = hecke_for_block(p0, s_minus, TRIVIAL_CLASS)
-    anchor_minus = anchor_parameter(p0, s_minus)
-    eps_minus = enumerate_alt_chars(anchor_minus)[0]
 
     even_reference = ", ".join(["q"] * n) + "; q^0"
     odd_reference = ", ".join(["q"] * (n - 1)) + "; q^2" if n >= 2 else "; q^2"
@@ -700,7 +702,7 @@ def weil_example(n: int) -> dict:
         "schema": "v1",
         "even": {
             "S": s_plus.to_json(),
-            "epsilon_Z": epsilon_Z(eps_plus),
+            "epsilon_Z": _class_chars(TRIVIAL_CLASS, 0, 0)[0][1],
             "presentation": even.to_json(),
             "display": even.display(),
             "reference_display": even_reference,
@@ -708,7 +710,7 @@ def weil_example(n: int) -> dict:
         },
         "odd": {
             "S": s_minus.to_json(),
-            "epsilon_Z": epsilon_Z(eps_minus),
+            "epsilon_Z": _class_chars(TRIVIAL_CLASS, 1, 0)[0][1],
             "presentation": odd.to_json(),
             "display": odd.display(),
             "reference_display": odd_reference,

@@ -354,7 +354,7 @@ def test_criterion_8_weil_example():
 
 def test_criterion_9_mp_so_split():
     for p0 in pool_parameters(6):
-        blocks = enumerate_blocks(p0)
+        blocks = list(enumerate_blocks(p0).records())
         parts = split_so(p0)
         assert len(parts[1]) + len(parts[-1]) == len(blocks)
         key = lambda b: tuple(sorted((label, pres) for label, pres in b["hecke"].items()))

@@ -237,7 +237,7 @@ def test_mp_json_matches_the_per_class_loops(tmp_path, capsys):
             assert code == 0
             assert out == _emitted(oracle(p0)), (verb, p0.mult)
         assert mpparams.verify_match(p0) == _oracle_verify_match(p0)
-        assert mpparams.enumerate_blocks(p0) == _oracle_enumerate_blocks(p0)
+        assert list(mpparams.enumerate_blocks(p0).records()) == _oracle_enumerate_blocks(p0)
 
 
 def _cls(label, **kw):
@@ -278,7 +278,7 @@ def test_mp_enumerate_layouts_match_the_per_class_loops(tmp_path, capsys):
     for p0 in params:
         path.write_text(json.dumps(p0.to_json()))
         blocks = _oracle_enumerate_blocks(p0)
-        assert mpparams.enumerate_blocks(p0) == blocks, p0.mult
+        assert list(mpparams.enumerate_blocks(p0).records()) == blocks, p0.mult
         report = _oracle_mp_enumerate(p0, blocks)
         for flags, layout in layouts:
             code = cli.main(["mp-enumerate", str(path), "--out", str(target), *flags])

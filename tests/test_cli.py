@@ -164,6 +164,48 @@ def test_bad_schema_version(tmp_path, capsys):
     assert code == 2 and "schema" in err
 
 
+def descriptor_spec():
+    return {"schema": "v1", "ambient": "Mp", "h_rank": 1,
+            "lines": [{"d": 1, "k": 3, "gl_singular": True, "boundary_pole": True,
+                       "self_dual_T": True, "tau_T": False}]}
+
+
+# (verb, the object holding the field, field, a value of the wrong JSON type)
+MISTYPED_FIELDS = [
+    ("mp-enumerate", "spec", "n", True),
+    ("mp-enumerate", "class", "multiplicity", "1/2"),
+    ("mp-match", "class", "multiplicity", "4"),
+    ("mp-enumerate", "class", "d", "x"),
+    ("mp-enumerate", "class", "d", True),
+    ("mp-match", "class", "t", [1]),
+    ("mp-enumerate", "class", "self_dual", "false"),
+    ("mp-match", "class", "type_plus", 0),
+    ("mp-enumerate", "class", "type_minus", None),
+    ("blocks-classify", "spec", "h_rank", "x"),
+    ("blocks-classify", "spec", "h_rank", False),
+    ("blocks-classify", "line", "d", True),
+    ("blocks-classify", "line", "k", "3"),
+    ("blocks-classify", "line", "gl_singular", "true"),
+    ("blocks-classify", "line", "boundary_pole", 1),
+    ("blocks-classify", "line", "self_dual_T", "yes"),
+    ("blocks-classify", "line", "tau_T", "false"),
+]
+
+
+@pytest.mark.parametrize("verb, where, key, value", MISTYPED_FIELDS,
+                         ids=[f"{v}-{k}-{x!r}" for v, _, k, x in MISTYPED_FIELDS])
+def test_mistyped_field_exits_2(tmp_path, capsys, verb, where, key, value):
+    """An integer field must be a JSON integer, not a bool or a string; a
+    flag must be a JSON bool.  Anything else is malformed input."""
+    spec = descriptor_spec() if verb == "blocks-classify" else phi0_spec()
+    holder = {"spec": spec, "class": spec.get("classes", [{}])[0], "line": spec.get("lines", [{}])[0]}
+    holder[where][key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, verb, str(path))
+    assert (code, out) == (2, "") and repr(key) in err and "Traceback" not in err
+
+
 def test_out_flag_writes_identical_json(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "weil-example", "--n", "1", "--out", str(target))

@@ -29,7 +29,7 @@ def _distinct_presentations():
     """
     records, algebras = set(), {}
     for p0 in pool_parameters(8):
-        for block in enumerate_blocks(p0):
+        for block in enumerate_blocks(p0).records():
             for pres in block["hecke"].values():
                 records.add(pres)
                 algebras.setdefault((pres.kind, pres.size, pres.exponents, pres.qi), pres)

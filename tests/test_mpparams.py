@@ -336,7 +336,7 @@ def test_verify_match_pool():
 
 def test_enumerate_blocks_counts():
     p0 = NormedParameter(2, POOL, (("ff", 4),))
-    blocks = enumerate_blocks(p0)
+    blocks = list(enumerate_blocks(p0).records())
     per_S = Counter(tuple(b["S"].entries) for b in blocks)
     assert sum(per_S.values()) == len(blocks)
     for S in enumerate_S(p0):
@@ -346,7 +346,7 @@ def test_enumerate_blocks_counts():
 
 def test_split_so_partitions():
     for p0 in pool_parameters(6)[:40]:
-        blocks = enumerate_blocks(p0)
+        blocks = list(enumerate_blocks(p0).records())
         parts = split_so(p0)
         assert len(parts[1]) + len(parts[-1]) == len(blocks)
         mp_side = Counter(
@@ -418,7 +418,7 @@ def test_weil_example(n):
 
 def test_counts_match_the_enumerations_on_the_pool():
     for p0 in pool_parameters(8):
-        assert count_blocks(p0) == len(enumerate_blocks(p0)), p0.mult
+        assert count_blocks(p0) == len(list(enumerate_blocks(p0).records())), p0.mult
         assert count_match_rows(p0) == len(verify_match(p0)["rows"]), p0.mult
 
 
