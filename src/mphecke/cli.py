@@ -224,25 +224,28 @@ def _load_phi0(path: str) -> mpparams.NormedParameter:
 
 def cmd_mp_enumerate(args) -> int:
     table = mpparams.enumerate_blocks(_load_phi0(args.input))
-    # json.dumps of the report, spliced from parts encoded once per call: a row
-    # is fixed by S but for "epsilon", one fragment per class in label order, and
-    # "epsilon_Z", the fragments' signs multiplied.  Raw "\0" is never JSON text.
-    row = _splice([_member("S", "\0", args), _member("classical_match", encode(table.matches, args, 3), args),
-                   _member("epsilon", "\0", args), _member("epsilon_Z", "\0", args),
-                   _member("hecke", "\0", args)], 2, args, "{}").split("\0")
+    # json.dumps of the report, spliced from parts encoded once per call.  A row is fixed by S
+    # but for "epsilon", one fragment per class in label order, and "epsilon_Z", the product of
+    # the fragments' signs.  "\0" marks where varying parts go: encoded JSON never holds it raw.
+    row = _splice([_member(key, value, args) for key, value in (
+        ("S", "\0"), ("classical_match", encode(table.matches, args, 3)), ("epsilon", "\0"),
+        ("epsilon_Z", "\0"), ("hecke", "\0"))], 2, args, "{}").split("\0")
     open_, sep, close = _splice(["\0", "\0"], 3, args).split("\0")
-    hecke = lambda label, pres: (label, _member(label, encode(pres.to_json(), args, 4), args))
-    fixed = [hecke(label, pres) for label, pres in table.fixed.items()]
-    factors = [[(encode(entry, args, 4), hecke(c.label, pres),
+
+    def keyed(label, pres):   # a "hecke" member, with its key to sort by
+        return label, _member(label, encode(pres.to_json(), args, 4), args)
+    fixed = [keyed(label, pres) for label, pres in table.fixed.items()]
+    # per class and choice: the S entry, the "hecke" member, and each character's fragment and sign
+    factors = [[(encode(entry, args, 4), keyed(c.label, pres),
                  [(sep.join(encode([e.label, e.minus, e.a, s], args, 4) for e, s in signs), sign)
                   for signs, sign in chars]) for entry, pres, chars in choices] for c, choices in table.factors]
     by_label = sorted(range(len(factors)), key=lambda i: table.factors[i][0].label)
     rows = []
     for options in itertools.product(*factors):
         head = row[0] + _splice([o[0] for o in options], 3, args) + row[1]
-        frags = [options[i][2] for i in by_label if options[i][2][0][0]]
-        tail = row[3] + _splice([text for _, text in sorted(fixed + [o[1] for o in options])], 3, args, "{}")
-        tails = {z: (close if frags else "[]") + row[2] + str(z) + tail + row[4] for z in (1, -1)}
+        hecke = _splice([text for _, text in sorted(fixed + [o[1] for o in options])], 3, args, "{}")
+        frags = [options[i][2] for i in by_label if options[i][2][0][0]]   # the classes with blocks
+        tails = {z: (close if frags else "[]") + row[2] + str(z) + row[3] + hecke + row[4] for z in (1, -1)}
         epsilons = [("", 1)]
         for k, chars in enumerate(frags):
             epsilons = [(e + (sep if k else open_) + f, z * y) for e, z in epsilons for f, y in chars]

@@ -286,9 +286,8 @@ def enumerate_alt_chars(p: DiscreteParameter) -> list[AltChar]:
     """
     if not without_holes(p):
         raise ParameterError("parameter has holes; characters are undefined")
-    per_class = [_class_chars(p.cls(label), len(p.member_blocks(label, False)),
-                              len(p.member_blocks(label, True)))
-                 for label in sorted({e.label for e in p.jord})]
+    per_class = [_class_chars(p.cls(l), len(p.member_blocks(l, False)), len(p.member_blocks(l, True)))
+                 for l in sorted({e.label for e in p.jord})]
     return [_joined(chars)[0] for chars in itertools.product(*per_class)]
 
 
