@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .hecke import HeckeParams, HeckePresentation, InvalidParameters, json_field
+from .hecke import HeckeParams, HeckePresentation, InvalidParameters, check_json_types
 from .rootdata import (
     Component,
     WeylElement,
@@ -95,14 +95,15 @@ class BlockDescriptor:
 
     @classmethod
     def from_json(cls, data) -> "BlockDescriptor":
-        def get(obj, key, kind, *default):
-            return json_field(obj, key, kind, DescriptorError, *default)
+        check_json_types(data, ("h_rank",), (), DescriptorError)
+        for l in data["lines"]:
+            check_json_types(l, ("d", "k"), ("gl_singular", "boundary_pole", "self_dual_T", "tau_T"),
+                             DescriptorError)
         lines = tuple(
-            CuspidalLine(get(l, "d", int), get(l, "k", int), get(l, "gl_singular", bool),
-                         get(l, "boundary_pole", bool), get(l, "self_dual_T", bool),
-                         get(l, "tau_T", bool, False))
+            CuspidalLine(l["d"], l["k"], l["gl_singular"], l["boundary_pole"], l["self_dual_T"],
+                         l.get("tau_T", False))
             for l in data["lines"])
-        return cls(str(data["ambient"]), get(data, "h_rank", int), lines)
+        return cls(str(data["ambient"]), data["h_rank"], lines)
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,8 @@ def _splice(parts, depth, args, brackets="[]") -> str:
 
 
 def _member(key, value, args) -> str:
-    """An object member: the encoded key, then the encoded ``value``."""
-    return encode(key, args) + (": " if args.pretty else ":") + value
+    """An object member from an encoded ``key`` and an encoded ``value``."""
+    return key + (": " if args.pretty else ":") + value
 
 
 def emit(text, args) -> None:
@@ -228,12 +228,12 @@ def cmd_mp_enumerate(args) -> int:
     # but for "epsilon", one fragment per class in label order, and "epsilon_Z", the product of
     # the fragments' signs.  "\0" marks where varying parts go: encoded JSON never holds it raw.
     row = _splice([_member(key, value, args) for key, value in (
-        ("S", "\0"), ("classical_match", encode(table.matches, args, 3)), ("epsilon", "\0"),
-        ("epsilon_Z", "\0"), ("hecke", "\0"))], 2, args, "{}").split("\0")
+        ('"S"', "\0"), ('"classical_match"', encode(table.matches, args, 3)), ('"epsilon"', "\0"),
+        ('"epsilon_Z"', "\0"), ('"hecke"', "\0"))], 2, args, "{}").split("\0")
     open_, sep, close = _splice(["\0", "\0"], 3, args).split("\0")
 
     def keyed(label, pres):   # a "hecke" member, with its key to sort by
-        return label, _member(label, encode(pres.to_json(), args, 4), args)
+        return label, _member(encode(label, args), encode(pres.to_json(), args, 4), args)
     fixed = [keyed(label, pres) for label, pres in table.fixed.items()]
     # per class and choice: the S entry, the "hecke" member, and each character's fragment and sign
     factors = [[(encode(entry, args, 4), keyed(c.label, pres),
@@ -250,8 +250,8 @@ def cmd_mp_enumerate(args) -> int:
         for k, chars in enumerate(frags):
             epsilons = [(e + (sep if k else open_) + f, z * y) for e, z in epsilons for f, y in chars]
         rows += [head + e + tails[z] for e, z in epsilons]
-    emit(_splice([_member("blocks", _splice(rows, 1, args), args), _member("count", str(len(rows)), args),
-                  _member("schema", '"v1"', args)], 0, args, "{}"), args)
+    report = (('"blocks"', _splice(rows, 1, args)), ('"count"', str(len(rows))), ('"schema"', '"v1"'))
+    emit(_splice([_member(key, value, args) for key, value in report], 0, args, "{}"), args)
     return 0
 
 

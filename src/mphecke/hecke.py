@@ -588,13 +588,13 @@ def frac_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def json_field(data: Mapping, key: str, kind: type, error: type, *default):
-    """``data[key]``, or the default if given and the key is absent, if its type is
-    ``kind`` (int or bool: a bool is no int here); else ``error`` is raised."""
-    v = data.get(key, *default) if default else data[key]
-    if type(v) is not kind:
-        raise error(f"{key!r} must be a JSON {kind.__name__}, got {v!r}")
-    return v
+def check_json_types(obj: Mapping, ints: Sequence[str], flags: Sequence[str], error: type) -> None:
+    """Raise ``error`` unless each of ``ints`` present in ``obj`` is a JSON integer
+    (a bool is not one here) and each of ``flags`` present a JSON bool."""
+    for keys, kind in ((ints, int), (flags, bool)):
+        for key in keys:
+            if key in obj and type(obj[key]) is not kind:
+                raise error(f"{key!r} must be a JSON {kind.__name__}, got {obj[key]!r}")
 
 
 def frac_from_json(v) -> Fraction:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping
 
-from .hecke import frac_to_json, json_field
+from .hecke import check_json_types, frac_to_json
 
 
 class ParameterError(ValueError):
@@ -140,17 +140,17 @@ class NormedParameter:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "NormedParameter":
-        def get(obj, key, kind, *default):
-            return json_field(obj, key, kind, ParameterError, *default)
+        check_json_types(data, ("n",), (), ParameterError)
         classes = []
         mult = []
         for c in data["classes"]:
+            check_json_types(c, ("d", "t", "multiplicity"), ("self_dual", "type_plus", "type_minus"),
+                             ParameterError)
             classes.append(InertialClass(
-                str(c["label"]), get(c, "d", int, 1), get(c, "t", int, 1),
-                get(c, "self_dual", bool, False), get(c, "type_plus", bool, False),
-                get(c, "type_minus", bool, False)))
-            mult.append((str(c["label"]), get(c, "multiplicity", int)))
-        return cls(get(data, "n", int), tuple(classes), tuple(mult))
+                str(c["label"]), c.get("d", 1), c.get("t", 1), c.get("self_dual", False),
+                c.get("type_plus", False), c.get("type_minus", False)))
+            mult.append((str(c["label"]), c["multiplicity"]))
+        return cls(data["n"], tuple(classes), tuple(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +379,11 @@ def count_match_rows(p0: NormedParameter, choices: Choices | None = None) -> int
     return prod(len(triples) for _, triples in choices) * len(p0.support())
 
 
-def _guard(count: int, what: str) -> None:
+def _guard(count: int, what: str) -> int:
     if count > ENUMERATION_GUARD:
         raise ParameterError(
             f"{count} {what} exceed the enumeration guard of {ENUMERATION_GUARD}")
+    return count
 
 
 def anchor_parameter(p0: NormedParameter, S: SChoice) -> DiscreteParameter:
@@ -645,9 +646,7 @@ def enumerate_blocks(p0: NormedParameter) -> BlockTable:
     has no choice.  More than ENUMERATION_GUARD blocks raise ParameterError.
     """
     choices = _anchor_choices(p0)
-    count = count_blocks(p0, choices)
-    _guard(count, "blocks")
-    if not count:
+    if not _guard(count_blocks(p0, choices), "blocks"):
         return BlockTable(tuple((c, ()) for c, _ in choices), {}, {})
     support = p0.support()
     factors = tuple((c, tuple((entry, hecke_for_block(p0, SChoice((entry,)), c),
