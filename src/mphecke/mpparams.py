@@ -609,7 +609,6 @@ def verify_match(p0: NormedParameter) -> dict:
 # Blocks, central signs and the two orthogonal towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BlockTable:
     """The Bernstein blocks of a normed parameter, as a product of per-class factors.
 
@@ -622,9 +621,9 @@ class BlockTable:
     classes sorted by label).  A factor with no choice leaves no blocks.
     """
 
-    factors: tuple
-    fixed: dict[str, MpHeckePresentation]
-    matches: dict[str, tuple[str, int]]
+    def __init__(self, factors: tuple, fixed: dict[str, MpHeckePresentation],
+                 matches: dict[str, tuple[str, int]]):
+        self.factors, self.fixed, self.matches = factors, fixed, matches
 
     def records(self):
         """Yield one record per block: S, epsilon, epsilon_Z, hecke and classical_match."""
