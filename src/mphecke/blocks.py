@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .hecke import HeckeParams, HeckePresentation, InvalidParameters, check_json_types
+from .hecke import HeckeParams, HeckePresentation, InvalidParameters
+from .jsonio import check_field_types
 from .rootdata import (
     Component,
     WeylElement,
@@ -55,6 +56,8 @@ class CuspidalLine:
     tau_T: bool = False
 
     def __post_init__(self):
+        check_field_types(self.__dict__, ("d", "k"),
+                          ("gl_singular", "boundary_pole", "self_dual_T", "tau_T"), DescriptorError)
         if self.d < 1 or self.k < 1:
             raise DescriptorError("line sizes must be positive")
         if self.boundary_pole and not self.self_dual_T:
@@ -70,6 +73,7 @@ class BlockDescriptor:
     def __post_init__(self):
         if self.ambient not in AMBIENTS:
             raise DescriptorError(f"unknown ambient {self.ambient!r}")
+        check_field_types(self.__dict__, ("h_rank",), (), DescriptorError)
         if self.h_rank < 0:
             raise DescriptorError("h_rank must be >= 0")
         if self.ambient in ("SO_even", "O_even") and self.h_rank == 1:
@@ -95,10 +99,6 @@ class BlockDescriptor:
 
     @classmethod
     def from_json(cls, data) -> "BlockDescriptor":
-        check_json_types(data, ("h_rank",), (), DescriptorError)
-        for l in data["lines"]:
-            check_json_types(l, ("d", "k"), ("gl_singular", "boundary_pole", "self_dual_T", "tau_T"),
-                             DescriptorError)
         lines = tuple(
             CuspidalLine(l["d"], l["k"], l["gl_singular"], l["boundary_pole"], l["self_dual_T"],
                          l.get("tau_T", False))

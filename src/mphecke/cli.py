@@ -12,15 +12,13 @@ import argparse
 import functools
 import itertools
 import json
-import random
 import sys
 from fractions import Fraction
 
-from . import blocks as blocks_mod
-from . import hecke as hecke_mod
-from . import mpparams, rankone
-from .laurent import GroupAlgebraElement, QLaurent
-from .rootdata import braid_order, build_O_datum, classical_datum
+# The mp verbs' modules only: every other verb imports its own when it runs, so
+# an mp-enumerate or mp-match process never loads the algebra modules.
+from . import mpparams
+from .jsonio import frac_to_json
 
 
 class InputError(ValueError):
@@ -94,7 +92,7 @@ def emit(text, args) -> None:
 
 def _json_default(x):
     if isinstance(x, Fraction):
-        return hecke_mod.frac_to_json(x)
+        return frac_to_json(x)
     raise TypeError(f"not JSON serialisable: {x!r}")
 
 
@@ -122,6 +120,7 @@ def parse_grid(spec: str, step: Fraction) -> list[Fraction]:
     return [lo + i * step for i in range(count)]
 
 def cmd_rankone_verify(args) -> int:
+    from . import rankone
     grid = parse_grid(args.grid, parse_fraction(args.step))
     rows = []
     for a in grid:
@@ -138,38 +137,46 @@ def cmd_rankone_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _hecke_test_data(max_rank: int):
+    from .hecke import HeckeParams
+    from .rootdata import build_O_datum, classical_datum
     out = []
     d, _ = classical_datum("GL", 2)
-    out.append(("A1", d, hecke_mod.HeckeParams(d, (Fraction(1),))))
+    out.append(("A1", d, HeckeParams(d, (Fraction(1),))))
     d, _ = classical_datum("GL", 3)
-    out.append(("A2", d, hecke_mod.HeckeParams(d, (Fraction(1), Fraction(1)))))
+    out.append(("A2", d, HeckeParams(d, (Fraction(1), Fraction(1)))))
     d, _ = classical_datum("SO_odd", 5)
-    out.append(("B2", d, hecke_mod.HeckeParams(d, (Fraction(1), Fraction(2)),
-                                               {0: Fraction(1)})))
+    out.append(("B2", d, HeckeParams(d, (Fraction(1), Fraction(2)), {0: Fraction(1)})))
     d = build_O_datum([("A1", 2, 1), ("A1", 2, 1)], 4)
-    out.append(("A1xA1", d, hecke_mod.HeckeParams(d, (Fraction(1), Fraction(3, 2)))))
+    out.append(("A1xA1", d, HeckeParams(d, (Fraction(1), Fraction(3, 2)))))
     return [(name, d, p) for name, d, p in out if d.rank <= max_rank]
 
 
 def _random_element(rng, d, p, degree=2, nterms=2):
+    from .hecke import HeckeElement
+    from .laurent import GroupAlgebraElement, QLaurent
+    from .rootdata import WeylElement
     ws = [d.simple_reflection(i) for i in range(d.num_simples())]
-    ws.append(hecke_mod.WeylElement.identity(d.rank))
-    out = hecke_mod.HeckeElement.zero(d, p)
+    ws.append(WeylElement.identity(d.rank))
+    out = HeckeElement.zero(d, p)
     for _ in range(nterms):
         w = rng.choice(ws)
         vec = tuple(rng.randint(-degree, degree) for _ in range(d.rank))
         coeff = QLaurent({4 * rng.randint(0, 1): Fraction(rng.randint(-3, 3))})
         ga = GroupAlgebraElement.monomial(vec, coeff)
         if not ga.is_zero():
-            out = out + hecke_mod.HeckeElement.from_u(d, p, w, ga)
+            out = out + HeckeElement.from_u(d, p, w, ga)
     return out
 
 
 def run_hecke_suite(max_rank: int = 4, n_triples: int = 25, seed: int = 20250809) -> dict:
-    rng, report, mul = random.Random(seed), [], hecke_mod.he_mul
+    import random
+
+    from .hecke import HeckeElement, he_mul as mul
+    from .rootdata import braid_order
+    rng, report = random.Random(seed), []
     for name, d, p in _hecke_test_data(max_rank):
-        one = hecke_mod.HeckeElement.one(d, p)
-        us = [hecke_mod.HeckeElement.u_simple(d, p, i) for i in range(d.num_simples())]
+        one = HeckeElement.one(d, p)
+        us = [HeckeElement.u_simple(d, p, i) for i in range(d.num_simples())]
         quad = [mul(u + one, u - one.scale(p.q_alpha(i))).is_zero() for i, u in enumerate(us)]
         braid = []
         for i, j in itertools.combinations(range(len(us)), 2):
@@ -198,12 +205,13 @@ def cmd_hecke_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_blocks_classify(args) -> int:
+    from . import blocks
     data = load_json(args.input)
     check_schema(data, args.input)
     try:
-        bd = blocks_mod.BlockDescriptor.from_json(data)
-        cb = blocks_mod.classify(bd)
-    except (blocks_mod.DescriptorError, KeyError, TypeError) as e:
+        bd = blocks.BlockDescriptor.from_json(data)
+        cb = blocks.classify(bd)
+    except (blocks.DescriptorError, KeyError, TypeError) as e:
         raise InputError(f"descriptor invalid: {e}")
     emit(encode(cb.to_json(), args), args)
     return 0
@@ -333,10 +341,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except (mpparams.ParameterError, blocks_mod.DescriptorError) as e:
+    except (InputError, mpparams.ParameterError) as e:
+        # cmd_blocks_classify turns blocks.DescriptorError into InputError
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -43,6 +43,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
+from .jsonio import frac_from_json, frac_to_json
 from .laurent import GroupAlgebraElement, QLaurent
 from .rootdata import (
     WEYL_ENUM_GUARD,
@@ -582,30 +583,6 @@ def sqint_check(exponents: Sequence[ExponentChar], central: Sequence[Sequence[in
 # ---------------------------------------------------------------------------
 # Presentation records and JSON
 # ---------------------------------------------------------------------------
-
-def frac_to_json(x: Fraction):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def check_json_types(obj: Mapping, ints: Sequence[str], flags: Sequence[str], error: type) -> None:
-    """Raise ``error`` unless each of ``ints`` present in ``obj`` is a JSON integer
-    (a bool is not one here) and each of ``flags`` present a JSON bool."""
-    for keys, kind in ((ints, int), (flags, bool)):
-        for key in keys:
-            if key in obj and type(obj[key]) is not kind:
-                raise error(f"{key!r} must be a JSON {kind.__name__}, got {obj[key]!r}")
-
-
-def frac_from_json(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise ValueError("floats are rejected; use int or 'p/q'")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise ValueError(f"cannot parse rational from {v!r}")
-
 
 @dataclass(frozen=True)
 class HeckePresentation:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping
 
-from .hecke import check_json_types, frac_to_json
+from .jsonio import check_field_types, frac_to_json
 
 
 class ParameterError(ValueError):
@@ -59,6 +59,8 @@ class InertialClass:
     type_minus: bool = False
 
     def __post_init__(self):
+        check_field_types(self.__dict__, ("d", "t"), ("self_dual", "type_plus", "type_minus"),
+                          ParameterError, ("label",))
         if self.d < 1 or self.t < 1:
             raise ParameterError("d and t must be positive")
         if not self.self_dual and (self.type_plus or self.type_minus):
@@ -98,11 +100,15 @@ class NormedParameter:
     by_label: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_field_types(self.__dict__, ("n",), (), ParameterError)
         labels = [c.label for c in self.classes]
         if len(set(labels)) != len(labels):
             raise ParameterError("duplicate class labels")
-        object.__setattr__(self, "mult", tuple((str(l), int(m)) for l, m in self.mult))
+        object.__setattr__(self, "mult", tuple((l, m) for l, m in self.mult))
         object.__setattr__(self, "by_label", dict(self.mult))
+        for l, m in self.mult:
+            if type(m) is not int:
+                raise ParameterError(f"'multiplicity' of class {l!r} must be an integer, got {m!r}")
         if set(self.by_label) - set(labels):
             raise ParameterError("multiplicity for unknown class")
         total = 0
@@ -140,16 +146,13 @@ class NormedParameter:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "NormedParameter":
-        check_json_types(data, ("n",), (), ParameterError)
         classes = []
         mult = []
         for c in data["classes"]:
-            check_json_types(c, ("d", "t", "multiplicity"), ("self_dual", "type_plus", "type_minus"),
-                             ParameterError)
             classes.append(InertialClass(
-                str(c["label"]), c.get("d", 1), c.get("t", 1), c.get("self_dual", False),
+                c["label"], c.get("d", 1), c.get("t", 1), c.get("self_dual", False),
                 c.get("type_plus", False), c.get("type_minus", False)))
-            mult.append((str(c["label"]), c["multiplicity"]))
+            mult.append((c["label"], c["multiplicity"]))
         return cls(data["n"], tuple(classes), tuple(mult))
 
 

@@ -43,8 +43,8 @@ against the sign data.  Mismatched signs leave a nonzero residue term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .laurent import GroupAlgebraElement, QLaurent, RationalFunction, rf_normalize
 
@@ -77,8 +77,7 @@ MINUS_ONE = QLaurent.const(-1)
 # The mu function
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MuFunction:
+class MuFunction(NamedTuple):
     a: Fraction
     b: Fraction
     value: RationalFunction
@@ -160,8 +159,7 @@ def _zeros_poles(a: Fraction, b: Fraction) -> tuple[list, list]:
 # The two-dimensional algebra over rational functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankOneElement:
+class RankOneElement(NamedTuple):
     """An element f(X) + g(X) J in the (1, J)-basis."""
 
     f: RationalFunction

@@ -44,6 +44,20 @@ def test_unknown_ambient():
         BlockDescriptor("E8", 0, (line(),))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", True), ("k", "2"), ("gl_singular", 1), ("boundary_pole", "yes"),
+    ("self_dual_T", None), ("tau_T", 0)])
+def test_cuspidal_line_coerces_no_field(field, value):
+    with pytest.raises(DescriptorError, match=repr(field)):
+        line(**{field: value})
+
+
+@pytest.mark.parametrize("h_rank", [True, "1", 1.0])
+def test_descriptor_h_rank_must_be_an_int(h_rank):
+    with pytest.raises(DescriptorError, match="'h_rank'"):
+        BlockDescriptor("Mp", h_rank, (line(),))
+
+
 # -- the classification table -----------------------------------------------------
 
 def test_mp_pole_gives_B():

@@ -206,6 +206,19 @@ def test_mistyped_field_exits_2(tmp_path, capsys, verb, where, key, value):
     assert (code, out) == (2, "") and repr(key) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["mp-enumerate", "mp-match"])
+@pytest.mark.parametrize("label", [None, 1, True, ["1"]], ids=repr)
+def test_non_string_label_exits_2(tmp_path, capsys, verb, label):
+    """A class label must be a JSON string: null is not the class "None",
+    nor 1 the class "1"."""
+    spec = phi0_spec()
+    spec["classes"][0]["label"] = label
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, verb, str(path))
+    assert (code, out) == (2, "") and "'label'" in err and "Traceback" not in err
+
+
 def test_out_flag_writes_identical_json(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "weil-example", "--n", "1", "--out", str(target))
@@ -247,6 +260,7 @@ def test_one_parser_serves_successive_calls(tmp_path, capsys):
 def test_byte_determinism_across_processes(tmp_path):
     # identical inputs must give byte-identical output even under different
     # hash seeds (no reliance on set/dict iteration order)
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -260,13 +274,16 @@ def test_byte_determinism_across_processes(tmp_path):
     # tree via PYTHONPATH), and the child must import the very code this
     # process tested, so point it at the directory holding that package.
     package_root = str(Path(mphecke.__file__).resolve().parent.parent)
+    # a run that writes no bytecode cache keeps its children from writing one
+    # into the source tree
+    keep = {k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE",) if k in os.environ}
     outs = []
     for seed in ("0", "42"):
         proc = subprocess.run(
             [sys.executable, "-m", "mphecke.cli", "mp-enumerate", str(path)],
             capture_output=True, text=True,
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": package_root},
+                 "PYTHONPATH": package_root, **keep},
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)

@@ -78,6 +78,33 @@ def test_type_flags_need_self_duality():
         InertialClass("x", self_dual=False, type_plus=True)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("label", None), ("label", 1), ("d", True), ("d", "2"), ("t", 1.0),
+    ("self_dual", 1), ("type_plus", "no"), ("type_minus", None)])
+def test_inertial_class_coerces_no_field(field, value):
+    fields = {"label": "x", "d": 1, "t": 1, "self_dual": True, "type_plus": False,
+              "type_minus": False, field: value}
+    with pytest.raises(ParameterError, match=repr(field)):
+        InertialClass(**fields)
+
+
+@pytest.mark.parametrize("n, mult", [
+    (2, (("ff", "4"),)), (1, (("ff", True),)), (2, (("ff", 4.0),)), (2, (("ff", F(4)),)),
+    (True, (("ff", 2),)), ("2", (("ff", 4),))])
+def test_normed_parameter_coerces_no_count(n, mult):
+    # "4" was read as 4 and True as 1; now only a plain int is a count
+    with pytest.raises(ParameterError, match="'multiplicity'|'n'"):
+        NormedParameter(n, POOL, mult)
+
+
+def test_normed_parameter_keeps_its_labels():
+    # a multiplicity keyed by 1 names no class labelled "1"
+    one = InertialClass("1", self_dual=True)
+    with pytest.raises(ParameterError, match="unknown class"):
+        NormedParameter(1, (one,), ((1, 2),))
+    assert NormedParameter(1, (one,), (("1", 2),)).m("1") == 2
+
+
 # -- without_holes ----------------------------------------------------------------
 
 def test_without_holes_examples():
