@@ -46,6 +46,10 @@ class InvalidInvariants(ValueError):
     pass
 
 
+_LINE_FIELDS = (("d", int), ("k", int), ("gl_singular", bool), ("boundary_pole", bool),
+                ("self_dual_T", bool), ("tau_T", bool))
+
+
 @dataclass(frozen=True)
 class CuspidalLine:
     d: int
@@ -56,8 +60,7 @@ class CuspidalLine:
     tau_T: bool = False
 
     def __post_init__(self):
-        check_field_types(self.__dict__, ("d", "k"),
-                          ("gl_singular", "boundary_pole", "self_dual_T", "tau_T"), DescriptorError)
+        check_field_types(self, _LINE_FIELDS, DescriptorError)
         if self.d < 1 or self.k < 1:
             raise DescriptorError("line sizes must be positive")
         if self.boundary_pole and not self.self_dual_T:
@@ -73,7 +76,7 @@ class BlockDescriptor:
     def __post_init__(self):
         if self.ambient not in AMBIENTS:
             raise DescriptorError(f"unknown ambient {self.ambient!r}")
-        check_field_types(self.__dict__, ("h_rank",), (), DescriptorError)
+        check_field_types(self, (("h_rank", int),), DescriptorError)
         if self.h_rank < 0:
             raise DescriptorError("h_rank must be >= 0")
         if self.ambient in ("SO_even", "O_even") and self.h_rank == 1:

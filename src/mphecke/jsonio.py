@@ -29,11 +29,14 @@ def frac_from_json(v) -> Fraction:
 _KINDS = {int: "an integer", bool: "a bool", str: "a string"}
 
 
-def check_field_types(fields, ints, flags, error: type, strings=()) -> None:
-    """Raise ``error`` unless each of ``ints`` in the mapping ``fields`` is an int
-    (a bool is not one here), each of ``flags`` a bool and each of ``strings`` a
-    str.  Nothing is coerced: ``"1"``, ``1.0`` and ``True`` are not the integer 1."""
-    for keys, kind in ((ints, int), (flags, bool), (strings, str)):
-        for key in keys:
-            if type(fields[key]) is not kind:
-                raise error(f"{key!r} must be {_KINDS[kind]}, got {fields[key]!r}")
+def check_field_types(record, types, error: type) -> None:
+    """Raise ``error`` unless, for each ``(name, kind)`` of ``types``, the attribute
+    ``name`` of ``record`` has exactly the type ``kind`` (int, bool or str).
+    Nothing is coerced: ``"1"``, ``1.0`` and ``True`` are not the integer 1.
+
+    It reads with ``getattr``: asking a record for its ``__dict__`` would turn
+    off CPython's fast path for every later attribute read on it."""
+    for name, kind in types:
+        value = getattr(record, name)
+        if type(value) is not kind:
+            raise error(f"{name!r} must be {_KINDS[kind]}, got {value!r}")

@@ -49,6 +49,10 @@ class ParameterError(ValueError):
 # Inertial classes and normed parameters
 # ---------------------------------------------------------------------------
 
+_CLASS_FIELDS = (("label", str), ("d", int), ("t", int), ("self_dual", bool),
+                 ("type_plus", bool), ("type_minus", bool))
+
+
 @dataclass(frozen=True)
 class InertialClass:
     label: str
@@ -59,8 +63,7 @@ class InertialClass:
     type_minus: bool = False
 
     def __post_init__(self):
-        check_field_types(self.__dict__, ("d", "t"), ("self_dual", "type_plus", "type_minus"),
-                          ParameterError, ("label",))
+        check_field_types(self, _CLASS_FIELDS, ParameterError)
         if self.d < 1 or self.t < 1:
             raise ParameterError("d and t must be positive")
         if not self.self_dual and (self.type_plus or self.type_minus):
@@ -100,7 +103,7 @@ class NormedParameter:
     by_label: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_field_types(self.__dict__, ("n",), (), ParameterError)
+        check_field_types(self, (("n", int),), ParameterError)
         labels = [c.label for c in self.classes]
         if len(set(labels)) != len(labels):
             raise ParameterError("duplicate class labels")
