@@ -78,4 +78,4 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         mphecke.no_such_name
     with pytest.raises(ImportError):
-        exec("from mphecke import no_such_name", {})
+        from mphecke import no_such_name  # noqa: F401
