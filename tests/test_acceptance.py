@@ -5,6 +5,7 @@ timed criteria assert their wall-clock budgets.
 """
 
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -352,6 +353,41 @@ def test_criterion_8_weil_example():
 
 # -- criterion 9 ------------------------------------------------------------------
 
+def _signed_alternating_counts(members):
+    """{+1: n, -1: n'}: the alternating sign vectors on one anchor's Jordan blocks
+    by the product of their signs, found by trying every vector.
+
+    ``members`` lists (number of blocks, kappa) per member.  Signs alternate
+    down each member's staircase, and a member with kappa = 0 starts at -1.
+    """
+    counts = {1: 0, -1: 0}
+    for signs in itertools.product((1, -1), repeat=sum(a for a, _ in members)):
+        pos, ok = 0, True
+        for a, kappa in members:
+            run = signs[pos:pos + a]
+            pos += a
+            if a and not kappa and run[0] != -1:
+                ok = False
+            if any(run[k] != -run[k - 1] for k in range(1, a)):
+                ok = False
+        if ok:
+            counts[math.prod(signs)] += 1
+    return counts
+
+
+def _split_by_sign_vectors(p0):
+    """The per-sign block counts of p0, with no call into ``mpparams``'s enumeration:
+    the anchor choices by ``_brute_force_S`` per class, then every sign vector."""
+    classes = [c for c in p0.classes if c.self_dual and p0.m(c.label) > 0]
+    totals = {1: 0, -1: 0}
+    for combo in itertools.product(*(sorted(_brute_force_S(c, p0.m(c.label))) for c in classes)):
+        members = [mem for c, (ap, am, _) in zip(classes, combo)
+                   for mem in ((ap, c.kappa_plus), (am, c.kappa_minus))]
+        for sign, n in _signed_alternating_counts(members).items():
+            totals[sign] += n
+    return totals
+
+
 def test_criterion_9_mp_so_split():
     for p0 in pool_parameters(6):
         blocks = list(enumerate_blocks(p0).records())
@@ -361,6 +397,14 @@ def test_criterion_9_mp_so_split():
         mp_side = Counter(key(b) for b in blocks)
         so_side = Counter(key(b) for sign in (1, -1) for b in parts[sign])
         assert mp_side == so_side, p0.to_json()
+    # the size of each tower against a count that never reads epsilon_Z
+    towers = Counter()
+    for p0 in pool_parameters(8):
+        parts = split_so(p0)
+        expected = _split_by_sign_vectors(p0)
+        assert (len(parts[1]), len(parts[-1])) == (expected[1], expected[-1]), p0.to_json()
+        towers.update(expected)
+    assert towers[1] and towers[-1]
     report(9, "metaplectic/orthogonal block split")
 
 

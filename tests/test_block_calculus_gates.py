@@ -8,6 +8,9 @@ that is the straightforward form of the same computation:
 * the ``mp-enumerate`` and ``mp-match`` JSON against the per-(S, class)
   loops, kept here verbatim;
 * ``enumerate_alt_chars`` against its per-member loops, kept verbatim;
+* the presentation arithmetic (``hecke_for_block``, ``classical_hecke``,
+  ``_scaled``, ``_class_match``) and the anchor choices (``_class_choices``)
+  against their ``Fraction`` forms, kept verbatim;
 * ``group_order`` (Schreier-Sims) against ``len(group_closure(...))``.
 """
 
@@ -24,6 +27,9 @@ from mphecke import cli, mpparams
 from mphecke.mpparams import (
     MpHeckePresentation,
     ParameterError,
+    SChoice,
+    _class_choices,
+    _class_match,
     _scaled,
     anchor_parameter,
     classical_hecke,
@@ -32,6 +38,7 @@ from mphecke.mpparams import (
     enumerate_alt_chars,
     epsilon_Z,
     hecke_for_block,
+    member_dim,
 )
 from mphecke.rootdata import WeylElement, group_closure, group_order
 
@@ -287,6 +294,200 @@ def test_mp_enumerate_layouts_match_the_per_class_loops(tmp_path, capsys):
             assert out == json.dumps(report, sort_keys=True, default=cli._json_default,
                                      **layout) + "\n", (flags, p0.mult)
             assert target.read_text() == out
+
+
+# ---------------------------------------------------------------------------
+# Presentation arithmetic: the Fraction forms as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_class_choices(cls, m):
+    bound = next(b for b in itertools.count() if member_dim(b, 1) > m)
+    rests = ((ap, am, m - member_dim(ap, cls.kappa_plus) - member_dim(am, cls.kappa_minus))
+             for ap in range(bound + 1) for am in range(bound + 1))
+    return sorted((ap, am, rest // 2) for ap, am, rest in rests if rest >= 0 and rest % 2 == 0)
+
+
+def _oracle_hecke_for_block(p0, S, cls):
+    m = p0.m(cls.label)
+    t = cls.t
+    if not cls.self_dual:
+        return MpHeckePresentation("GL", m, (Fraction(t),) * max(m - 1, 0), None, None, t)
+    ap, am, _ = S.get(cls.label)
+    kp, km = cls.kappa_plus, cls.kappa_minus
+    if kp and km and ap == 0 and am == 0:
+        r = m // 2
+        n_simples = r if r >= 2 else 0
+        return MpHeckePresentation("SO_even_ext", m, (Fraction(t),) * n_simples,
+                                   None, None, t, extended=True)
+    m_O = member_dim(ap, kp) + member_dim(am, km)
+    if m_O > m or (m - m_O) % 2:
+        raise ParameterError("anchor choice inconsistent with the multiplicity")
+    size = m - m_O + 1
+    r = (size - 1) // 2
+    special = t * (Fraction(ap + am + 1) - Fraction(kp + km, 2))
+    qi = abs(t * (Fraction(ap - am) + Fraction(km - kp, 2)))
+    exponents = (Fraction(t),) * (r - 1) + (special,) if r >= 1 else ()
+    return MpHeckePresentation("SO_odd", size, exponents,
+                               special if r >= 1 else None,
+                               qi if r >= 1 else None, t)
+
+
+def _oracle_classical_hecke(group, size, a_plus, a_minus):
+    ap, am = int(a_plus), int(a_minus)
+    if ap < 0 or am < 0:
+        raise ParameterError("a+ and a- must be >= 0")
+    if group == "SO_odd":
+        if size % 2 == 0:
+            raise ParameterError("SO_odd size must be odd")
+        m = size - 1
+        mp, mm = member_dim(ap, 0), member_dim(am, 0)
+        special = Fraction(ap + am + 1)
+        qi = Fraction(abs(ap - am))
+    elif group == "O_even":
+        if size % 2:
+            raise ParameterError("O_even size must be even")
+        m = size
+        if ap == 0 and am == 0:
+            r = m // 2
+            n_simples = r if r >= 2 else 0
+            return MpHeckePresentation("SO_even_ext", m, (Fraction(1),) * n_simples,
+                                       None, None, 1, extended=True)
+        mp, mm = member_dim(ap, 1), member_dim(am, 1)
+        special = Fraction(ap + am)
+        qi = Fraction(abs(ap - am))
+    elif group == "Sp":
+        if size % 2:
+            raise ParameterError("Sp size must be even")
+        m = size + 1
+        mp, mm = member_dim(ap, 1), member_dim(am, 1)
+        special = Fraction(ap + am)
+        qi = Fraction(abs(ap - am))
+    elif group == "U":
+        m = size
+        kp, km = (1, 0) if size % 2 else (0, 1)
+        mp, mm = member_dim(ap, kp), member_dim(am, km)
+        special = Fraction(ap + am) + Fraction(1, 2)
+        qi = abs(Fraction(ap - am) + Fraction((-1) ** size, 2))
+    else:
+        raise ParameterError(f"unknown classical group {group!r}")
+    cut = m - mp - mm
+    if cut < 0 or cut % 2:
+        raise ParameterError("anchor dimensions inconsistent with the group size")
+    r = cut // 2
+    exponents = (Fraction(1),) * (r - 1) + (special,) if r >= 1 else ()
+    return MpHeckePresentation("SO_odd", 2 * r + 1, exponents,
+                               special if r >= 1 else None,
+                               qi if r >= 1 else None, 1)
+
+
+def _oracle_scaled(p, t):
+    return MpHeckePresentation(
+        p.kind, p.size, tuple(t * e for e in p.exponents),
+        t * p.special if p.special is not None else None,
+        t * p.qi if p.qi is not None else None,
+        p.scale * t, p.extended)
+
+
+def _oracle_class_match(p0, S, cls):
+    m = p0.m(cls.label)
+    group, gsize = classical_match(cls, m)
+    mp = _oracle_hecke_for_block(p0, S, cls)
+    if not cls.self_dual:
+        classical = MpHeckePresentation("GL", m, (Fraction(1),) * max(m - 1, 0), None, None, 1)
+        return group, mp == _oracle_scaled(classical, cls.t), False
+    ap, am, _ = S.get(cls.label)
+    for swap in (False, True):
+        args = (am, ap) if swap else (ap, am)
+        try:
+            classical = _oracle_classical_hecke(group, gsize, *args)
+        except ParameterError:
+            continue
+        if mp == _oracle_scaled(classical, cls.t):
+            return group, True, swap
+    return group, False, False
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the ParameterError class it raises."""
+    try:
+        return fn(*args)
+    except ParameterError:
+        return ParameterError
+
+
+def _assert_same_presentation(new, old, context):
+    """Equal as records, in hash, in JSON (as a value and as bytes) and in display."""
+    if old is ParameterError:
+        assert new is ParameterError, context
+        return
+    assert new == old, context
+    assert hash(new) == hash(old), context
+    assert new.to_json() == old.to_json(), context
+    assert json.dumps(new.to_json()) == json.dumps(old.to_json()), context
+    assert new.display() == old.display(), context
+
+
+# every class kind: GL, no type member, type_plus, type_minus, both
+CLASS_KINDS = ({"self_dual": False}, {"self_dual": True}, {"self_dual": True, "type_plus": True},
+               {"self_dual": True, "type_minus": True},
+               {"self_dual": True, "type_plus": True, "type_minus": True})
+
+
+def _inconsistent_choices(cls, m):
+    """Two (a+, a-, m_gl) the multiplicity m does not admit: one too large, and one
+    whose rest is odd where the class has such a pair."""
+    too_large = next(a for a in itertools.count() if member_dim(a, cls.kappa_plus) > m)
+    out = [(too_large, 0, 0)]
+    odd = [(ap, am) for ap in range(too_large) for am in range(too_large)
+           if (m - member_dim(ap, cls.kappa_plus) - member_dim(am, cls.kappa_minus)) % 2
+           and member_dim(ap, cls.kappa_plus) + member_dim(am, cls.kappa_minus) <= m]
+    return out + [(ap, am, 0) for ap, am in odd[:1]]
+
+
+def test_hecke_for_block_matches_the_fraction_form():
+    cases = raised = 0
+    for kind, t, m in itertools.product(CLASS_KINDS, (1, 2, 3), range(1, 25)):
+        cls = mpparams.InertialClass("c", d=2 if kind["self_dual"] else 1, t=t, **kind)
+        p0 = mpparams.NormedParameter(m, (cls,), (("c", m),))
+        if not cls.self_dual:
+            triples = [None]
+        else:
+            triples = _oracle_class_choices(cls, m) + _inconsistent_choices(cls, m)
+        for triple in triples:
+            S = SChoice(() if triple is None else (("c",) + triple,))
+            old = _outcome(_oracle_hecke_for_block, p0, S, cls)
+            _assert_same_presentation(_outcome(hecke_for_block, p0, S, cls), old, (kind, t, m, triple))
+            assert _outcome(_class_match, p0, S, cls) == _outcome(_oracle_class_match, p0, S, cls)
+            cases += 1
+            raised += old is ParameterError
+    # a GL class never raises; each self-dual kind raises on its too-large choice, and on
+    # an odd rest where it has one
+    assert cases == 2448 and raised == 504
+
+
+def test_classical_hecke_and_scaled_match_the_fraction_form():
+    cases = raised = 0
+    for group in ("SO_odd", "O_even", "Sp", "U", "GL"):
+        for size, ap, am in itertools.product(range(26), range(-1, 7), range(-1, 7)):
+            old = _outcome(_oracle_classical_hecke, group, size, ap, am)
+            new = _outcome(classical_hecke, group, size, ap, am)
+            _assert_same_presentation(new, old, (group, size, ap, am))
+            cases += 1
+            if old is ParameterError:
+                raised += 1
+                continue
+            for t in (1, 2, 3):
+                _assert_same_presentation(_scaled(new, t), _oracle_scaled(old, t),
+                                          (group, size, ap, am, t))
+    assert cases == 5 * 26 * 8 * 8 and 0 < raised < cases
+
+
+def test_class_choices_match_the_sorted_square_scan():
+    for type_plus, type_minus in itertools.product((False, True), repeat=2):
+        cls = mpparams.InertialClass("c", self_dual=True, type_plus=type_plus, type_minus=type_minus)
+        for m in range(301):
+            assert _class_choices(cls, m) == _oracle_class_choices(cls, m), (type_plus, type_minus, m)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,19 @@ def test_classical_hecke_examples():
     assert o2.kind == "SO_odd" and o2.special == F(2) and o2.qi == 0
 
 
+def test_frac_to_json_gives_ints_and_p_over_q_strings():
+    from mphecke.jsonio import frac_to_json
+
+    for x, want in ((0, 0), (-3, -3), (F(6, 3), 2), (True, 1), (F(-3, 2), "-3/2")):
+        got = frac_to_json(x)
+        assert got == want and type(got) is type(want), x
+    # a bool is read as the rational 1, never written as the JSON literal true
+    assert json.dumps(frac_to_json(True)) == "1"
+    pres = MpHeckePresentation("SO_odd", 5, (1, F(5, 2)), F(5, 2), F(1, 2), 1)
+    assert pres.to_json() == {"kind": "SO_odd", "size": 5, "exponents": [1, "5/2"],
+                              "special": "5/2", "qi": "1/2", "scale": 1, "extended": False}
+
+
 def test_classical_match_table():
     assert classical_match(GL_CLS, 5) == ("GL", 5)
     assert classical_match(FF, 4) == ("SO_odd", 5)
