@@ -12,6 +12,8 @@ from fractions import Fraction
 
 
 def frac_to_json(x: Fraction):
+    if type(x) is int:
+        return x
     x = Fraction(x)
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 

@@ -330,10 +330,20 @@ class SChoice:
 
 
 def _class_choices(cls: InertialClass, m: int) -> list[tuple[int, int, int]]:
-    bound = next(b for b in itertools.count() if member_dim(b, 1) > m)
-    rests = ((ap, am, m - member_dim(ap, cls.kappa_plus) - member_dim(am, cls.kappa_minus))
-             for ap in range(bound + 1) for am in range(bound + 1))
-    return sorted((ap, am, rest // 2) for ap, am, rest in rests if rest >= 0 and rest % 2 == 0)
+    """Every (a+, a-, m_gl) of the size-parity identity, in sorted order.  A
+    member's dimension grows with a, so each loop stops at the first a that
+    leaves a negative rest."""
+    out = []
+    for ap in itertools.count():
+        left = m - member_dim(ap, cls.kappa_plus)
+        if left < 0:
+            return out
+        for am in itertools.count():
+            rest = left - member_dim(am, cls.kappa_minus)
+            if rest < 0:
+                break
+            if rest % 2 == 0:
+                out.append((ap, am, rest // 2))
 
 
 Choices = list[tuple[InertialClass, list[tuple[int, int, int]]]]
@@ -417,13 +427,19 @@ class MpHeckePresentation:
     ``special``/``qi`` the distinguished short-root and companion
     exponents for odd-orthogonal shapes; ``scale`` the base-field
     rescaling t (already multiplied into the exponents).
+
+    Every exponent lies in (1/2)Z.  The module stores it as an ``int`` when
+    it is integral and otherwise as a ``Fraction`` of denominator 2.  Either
+    compares and hashes as the rational it is (``1 == Fraction(1)`` and
+    ``hash(Fraction(n)) == hash(n)``), so a record holding ``Fraction``s of
+    the same values is equal to it and hashes alike.
     """
 
     kind: str
     size: int
-    exponents: tuple[Fraction, ...]
-    special: Fraction | None
-    qi: Fraction | None
+    exponents: tuple[int | Fraction, ...]
+    special: int | Fraction | None
+    qi: int | Fraction | None
     scale: int
     extended: bool = False
 
@@ -452,11 +468,13 @@ class MpHeckePresentation:
         }
 
 
-def _q_str(e: Fraction) -> str:
-    e = Fraction(e)
-    if e == 1:
-        return "q"
-    return f"q^{frac_to_json(e)}"
+def _q_str(e: int | Fraction) -> str:
+    return "q" if e == 1 else f"q^{frac_to_json(e)}"
+
+
+def _half(n: int) -> int | Fraction:
+    """n/2: an int when n is even, else a Fraction of denominator 2."""
+    return Fraction(n, 2) if n % 2 else n // 2
 
 
 def hecke_for_block(p0: NormedParameter, S: SChoice, cls: InertialClass) -> MpHeckePresentation:
@@ -464,22 +482,22 @@ def hecke_for_block(p0: NormedParameter, S: SChoice, cls: InertialClass) -> MpHe
     m = p0.m(cls.label)
     t = cls.t
     if not cls.self_dual:
-        return MpHeckePresentation("GL", m, (Fraction(t),) * max(m - 1, 0), None, None, t)
+        return MpHeckePresentation("GL", m, (t,) * max(m - 1, 0), None, None, t)
     ap, am, _ = S.get(cls.label)
     kp, km = cls.kappa_plus, cls.kappa_minus
     if kp and km and ap == 0 and am == 0:
         r = m // 2
         n_simples = r if r >= 2 else 0
-        return MpHeckePresentation("SO_even_ext", m, (Fraction(t),) * n_simples,
+        return MpHeckePresentation("SO_even_ext", m, (t,) * n_simples,
                                    None, None, t, extended=True)
     m_O = member_dim(ap, kp) + member_dim(am, km)
     if m_O > m or (m - m_O) % 2:
         raise ParameterError("anchor choice inconsistent with the multiplicity")
     size = m - m_O + 1
     r = (size - 1) // 2
-    special = t * (Fraction(ap + am + 1) - Fraction(kp + km, 2))
-    qi = abs(t * (Fraction(ap - am) + Fraction(km - kp, 2)))
-    exponents = (Fraction(t),) * (r - 1) + (special,) if r >= 1 else ()
+    special = _half(t * (2 * (ap + am + 1) - (kp + km)))
+    qi = _half(t * abs(2 * (ap - am) + (km - kp)))
+    exponents = (t,) * (r - 1) + (special,) if r >= 1 else ()
     return MpHeckePresentation("SO_odd", size, exponents,
                                special if r >= 1 else None,
                                qi if r >= 1 else None, t)
@@ -514,8 +532,8 @@ def classical_hecke(group: str, size: int, a_plus: int, a_minus: int) -> MpHecke
             raise ParameterError("SO_odd size must be odd")
         m = size - 1
         mp, mm = member_dim(ap, 0), member_dim(am, 0)
-        special = Fraction(ap + am + 1)
-        qi = Fraction(abs(ap - am))
+        special = ap + am + 1
+        qi = abs(ap - am)
     elif group == "O_even":
         if size % 2:
             raise ParameterError("O_even size must be even")
@@ -523,41 +541,47 @@ def classical_hecke(group: str, size: int, a_plus: int, a_minus: int) -> MpHecke
         if ap == 0 and am == 0:
             r = m // 2
             n_simples = r if r >= 2 else 0
-            return MpHeckePresentation("SO_even_ext", m, (Fraction(1),) * n_simples,
+            return MpHeckePresentation("SO_even_ext", m, (1,) * n_simples,
                                        None, None, 1, extended=True)
         mp, mm = member_dim(ap, 1), member_dim(am, 1)
-        special = Fraction(ap + am)
-        qi = Fraction(abs(ap - am))
+        special = ap + am
+        qi = abs(ap - am)
     elif group == "Sp":
         if size % 2:
             raise ParameterError("Sp size must be even")
         m = size + 1
         mp, mm = member_dim(ap, 1), member_dim(am, 1)
-        special = Fraction(ap + am)
-        qi = Fraction(abs(ap - am))
+        special = ap + am
+        qi = abs(ap - am)
     elif group == "U":
         m = size
         kp, km = (1, 0) if size % 2 else (0, 1)
         mp, mm = member_dim(ap, kp), member_dim(am, km)
-        special = Fraction(ap + am) + Fraction(1, 2)
-        qi = abs(Fraction(ap - am) + Fraction((-1) ** size, 2))
+        special = _half(2 * (ap + am) + 1)
+        qi = _half(abs(2 * (ap - am) + (-1) ** size))
     else:
         raise ParameterError(f"unknown classical group {group!r}")
     cut = m - mp - mm
     if cut < 0 or cut % 2:
         raise ParameterError("anchor dimensions inconsistent with the group size")
     r = cut // 2
-    exponents = (Fraction(1),) * (r - 1) + (special,) if r >= 1 else ()
+    exponents = (1,) * (r - 1) + (special,) if r >= 1 else ()
     return MpHeckePresentation("SO_odd", 2 * r + 1, exponents,
                                special if r >= 1 else None,
                                qi if r >= 1 else None, 1)
 
 
+def _times(t: int, e: int | Fraction) -> int | Fraction:
+    """t*e, an int when it is integral."""
+    x = t * e
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 def _scaled(p: MpHeckePresentation, t: int) -> MpHeckePresentation:
     return MpHeckePresentation(
-        p.kind, p.size, tuple(t * e for e in p.exponents),
-        t * p.special if p.special is not None else None,
-        t * p.qi if p.qi is not None else None,
+        p.kind, p.size, tuple(t * e if type(e) is int else _times(t, e) for e in p.exponents),
+        _times(t, p.special) if p.special is not None else None,
+        _times(t, p.qi) if p.qi is not None else None,
         p.scale * t, p.extended)
 
 
@@ -567,7 +591,7 @@ def _class_match(p0: NormedParameter, S: SChoice, cls: InertialClass) -> tuple[s
     group, gsize = classical_match(cls, m)
     mp = hecke_for_block(p0, S, cls)
     if not cls.self_dual:
-        classical = MpHeckePresentation("GL", m, (Fraction(1),) * max(m - 1, 0), None, None, 1)
+        classical = MpHeckePresentation("GL", m, (1,) * max(m - 1, 0), None, None, 1)
         return group, mp == _scaled(classical, cls.t), False
     ap, am, _ = S.get(cls.label)
     for swap in (False, True):
@@ -597,10 +621,11 @@ def verify_match(p0: NormedParameter) -> dict:
     rows = []
     mismatches = 0
     found: dict[tuple, tuple[str, bool, bool]] = {}
+    support = p0.support()
     for S in enumerate_S(p0, choices):
         s_json = S.to_json()
         anchors = S.anchors()
-        for cls in p0.support():
+        for cls in support:
             key = (cls.label, anchors.get(cls.label))
             if key not in found:
                 found[key] = _class_match(p0, S, cls)

@@ -490,6 +490,30 @@ def test_class_choices_match_the_sorted_square_scan():
             assert _class_choices(cls, m) == _oracle_class_choices(cls, m), (type_plus, type_minus, m)
 
 
+def _stored_forms(pres):
+    values = pres.exponents + tuple(x for x in (pres.special, pres.qi) if x is not None)
+    return {"int" if type(x) is int else (type(x).__name__, x.denominator) for x in values}
+
+
+def test_presentations_store_an_int_when_integral():
+    """The documented exponent types: an int, or a Fraction of denominator 2."""
+    seen = set()
+    for kind, t, m in itertools.product(CLASS_KINDS, (1, 2, 3), range(1, 13)):
+        cls = mpparams.InertialClass("c", d=2 if kind["self_dual"] else 1, t=t, **kind)
+        p0 = mpparams.NormedParameter(m, (cls,), (("c", m),))
+        triples = _class_choices(cls, m) if cls.self_dual else [None]
+        for triple in triples:
+            seen |= _stored_forms(hecke_for_block(p0, SChoice(() if triple is None else (("c",) + triple,)), cls))
+    for group, size, ap, am in itertools.product(("SO_odd", "O_even", "Sp", "U"), range(1, 14),
+                                                 range(3), range(3)):
+        classical = _outcome(classical_hecke, group, size, ap, am)
+        if classical is not ParameterError:
+            for t in (1, 2, 3):
+                seen |= _stored_forms(classical) | _stored_forms(_scaled(classical, t))
+    # t = 2 turns a half-integer into an integer, which _scaled stores as an int
+    assert seen == {"int", ("Fraction", 2)}
+
+
 # ---------------------------------------------------------------------------
 # |R|: Schreier-Sims against the listed closure
 # ---------------------------------------------------------------------------
