@@ -9,11 +9,13 @@ that is the straightforward form of the same computation:
   loops, kept here verbatim;
 * ``enumerate_alt_chars`` against its per-member loops, kept verbatim;
 * the presentation arithmetic (``hecke_for_block``, ``classical_hecke``,
-  ``_scaled``, ``_class_match``) and the anchor choices (``_class_choices``)
-  against their ``Fraction`` forms, kept verbatim;
+  ``_scaled``, ``_class_match``) against its ``Fraction`` form, which returns
+  the seven values a record once stored, and the anchor choices
+  (``_class_choices``) against their sorted square scan;
 * ``group_order`` (Schreier-Sims) against ``len(group_closure(...))``.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -169,10 +171,7 @@ def _oracle_verify_match(p0):
             m = p0.m(cls.label)
             group, gsize = classical_match(cls, m)
             if not cls.self_dual:
-                mp = hecke_for_block(p0, S, cls)
-                classical = MpHeckePresentation("GL", m, (Fraction(1),) * max(m - 1, 0),
-                                                None, None, 1)
-                ok = mp == _scaled(classical, cls.t)
+                ok = _fields(hecke_for_block(p0, S, cls)) == _oracle_scaled(_oracle_gl(m), cls.t)
                 rows.append({"S": S.to_json(), "class": cls.label, "group": group,
                              "matched": ok, "swapped": False})
                 mismatches += 0 if ok else 1
@@ -308,18 +307,31 @@ def _oracle_class_choices(cls, m):
     return sorted((ap, am, rest // 2) for ap, am, rest in rests if rest >= 0 and rest % 2 == 0)
 
 
+# An oracle presentation is the tuple of the seven values the record once stored, in
+# this order: the record's exponents and extended flag follow from the other five.
+FIELDS = ("kind", "size", "exponents", "special", "qi", "scale", "extended")
+
+
+def _fields(pres):
+    """The seven values of a presentation record, read from it."""
+    return tuple(getattr(pres, name) for name in FIELDS)
+
+
+def _oracle_gl(m, t=1):
+    return ("GL", m, (Fraction(t),) * max(m - 1, 0), None, None, t, False)
+
+
 def _oracle_hecke_for_block(p0, S, cls):
     m = p0.m(cls.label)
     t = cls.t
     if not cls.self_dual:
-        return MpHeckePresentation("GL", m, (Fraction(t),) * max(m - 1, 0), None, None, t)
+        return _oracle_gl(m, t)
     ap, am, _ = S.get(cls.label)
     kp, km = cls.kappa_plus, cls.kappa_minus
     if kp and km and ap == 0 and am == 0:
         r = m // 2
         n_simples = r if r >= 2 else 0
-        return MpHeckePresentation("SO_even_ext", m, (Fraction(t),) * n_simples,
-                                   None, None, t, extended=True)
+        return ("SO_even_ext", m, (Fraction(t),) * n_simples, None, None, t, True)
     m_O = member_dim(ap, kp) + member_dim(am, km)
     if m_O > m or (m - m_O) % 2:
         raise ParameterError("anchor choice inconsistent with the multiplicity")
@@ -328,9 +340,8 @@ def _oracle_hecke_for_block(p0, S, cls):
     special = t * (Fraction(ap + am + 1) - Fraction(kp + km, 2))
     qi = abs(t * (Fraction(ap - am) + Fraction(km - kp, 2)))
     exponents = (Fraction(t),) * (r - 1) + (special,) if r >= 1 else ()
-    return MpHeckePresentation("SO_odd", size, exponents,
-                               special if r >= 1 else None,
-                               qi if r >= 1 else None, t)
+    return ("SO_odd", size, exponents, special if r >= 1 else None,
+            qi if r >= 1 else None, t, False)
 
 
 def _oracle_classical_hecke(group, size, a_plus, a_minus):
@@ -351,8 +362,7 @@ def _oracle_classical_hecke(group, size, a_plus, a_minus):
         if ap == 0 and am == 0:
             r = m // 2
             n_simples = r if r >= 2 else 0
-            return MpHeckePresentation("SO_even_ext", m, (Fraction(1),) * n_simples,
-                                       None, None, 1, extended=True)
+            return ("SO_even_ext", m, (Fraction(1),) * n_simples, None, None, 1, True)
         mp, mm = member_dim(ap, 1), member_dim(am, 1)
         special = Fraction(ap + am)
         qi = Fraction(abs(ap - am))
@@ -376,17 +386,16 @@ def _oracle_classical_hecke(group, size, a_plus, a_minus):
         raise ParameterError("anchor dimensions inconsistent with the group size")
     r = cut // 2
     exponents = (Fraction(1),) * (r - 1) + (special,) if r >= 1 else ()
-    return MpHeckePresentation("SO_odd", 2 * r + 1, exponents,
-                               special if r >= 1 else None,
-                               qi if r >= 1 else None, 1)
+    return ("SO_odd", 2 * r + 1, exponents, special if r >= 1 else None,
+            qi if r >= 1 else None, 1, False)
 
 
 def _oracle_scaled(p, t):
-    return MpHeckePresentation(
-        p.kind, p.size, tuple(t * e for e in p.exponents),
-        t * p.special if p.special is not None else None,
-        t * p.qi if p.qi is not None else None,
-        p.scale * t, p.extended)
+    kind, size, exponents, special, qi, scale, extended = p
+    return (kind, size, tuple(t * e for e in exponents),
+            t * special if special is not None else None,
+            t * qi if qi is not None else None,
+            scale * t, extended)
 
 
 def _oracle_class_match(p0, S, cls):
@@ -394,8 +403,7 @@ def _oracle_class_match(p0, S, cls):
     group, gsize = classical_match(cls, m)
     mp = _oracle_hecke_for_block(p0, S, cls)
     if not cls.self_dual:
-        classical = MpHeckePresentation("GL", m, (Fraction(1),) * max(m - 1, 0), None, None, 1)
-        return group, mp == _oracle_scaled(classical, cls.t), False
+        return group, mp == _oracle_scaled(_oracle_gl(m), cls.t), False
     ap, am, _ = S.get(cls.label)
     for swap in (False, True):
         args = (am, ap) if swap else (ap, am)
@@ -408,6 +416,34 @@ def _oracle_class_match(p0, S, cls):
     return group, False, False
 
 
+def _oracle_q_json(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _oracle_to_json(p):
+    kind, size, exponents, special, qi, scale, extended = p
+    return {"kind": kind, "size": size, "exponents": [_oracle_q_json(e) for e in exponents],
+            "special": _oracle_q_json(special) if special is not None else None,
+            "qi": _oracle_q_json(qi) if qi is not None else None,
+            "scale": scale, "extended": extended}
+
+
+def _oracle_display(p):
+    _, _, exponents, _, qi, _, _ = p
+    q = lambda e: "q" if e == 1 else f"q^{_oracle_q_json(e)}"
+    body = ", ".join(q(e) for e in exponents)
+    if qi is not None:
+        return f"{body}; {q(qi)}" if body else f"; {q(qi)}"
+    return body
+
+
+def _oracle_record(p):
+    """The record holding the oracle's Fraction values, built from the fields it has."""
+    values = dict(zip(FIELDS, p))
+    return MpHeckePresentation(**{f.name: values[f.name] for f in dataclasses.fields(MpHeckePresentation)})
+
+
 def _outcome(fn, *args):
     """fn(*args), or the ParameterError class it raises."""
     try:
@@ -417,15 +453,18 @@ def _outcome(fn, *args):
 
 
 def _assert_same_presentation(new, old, context):
-    """Equal as records, in hash, in JSON (as a value and as bytes) and in display."""
+    """The record ``new`` against the oracle's seven values ``old``: equal in every value,
+    in JSON (as a value and as bytes) and in display, and equal and alike in hash to the
+    record built from the oracle's values."""
     if old is ParameterError:
         assert new is ParameterError, context
         return
-    assert new == old, context
-    assert hash(new) == hash(old), context
-    assert new.to_json() == old.to_json(), context
-    assert json.dumps(new.to_json()) == json.dumps(old.to_json()), context
-    assert new.display() == old.display(), context
+    assert _fields(new) == old, context
+    assert new.to_json() == _oracle_to_json(old), context
+    assert json.dumps(new.to_json()) == json.dumps(_oracle_to_json(old)), context
+    assert new.display() == _oracle_display(old), context
+    assert new == _oracle_record(old), context
+    assert hash(new) == hash(_oracle_record(old)), context
 
 
 # every class kind: GL, no type member, type_plus, type_minus, both
