@@ -5,9 +5,9 @@ per inertial family of GL factors: block size d, multiplicity k, and four
 analytic flags (whether the GL-adjacent reducibility function is singular,
 whether the boundary one has a pole, and the two self-conjugacy flags).
 From these the engine computes the components of the zero root system,
-the R-group, the semidirect-product orders and the emitted Hecke
-presentation.  The analytic content of the flags is an input, never
-recomputed: the case analysis itself is what this module implements.
+the R-group, the semidirect-product orders and the Hecke parameters.  The
+analytic content of the flags is an input, never recomputed: the case
+analysis itself is what this module implements.
 
 Coordinates: line i with multiplicity k_i occupies k_i consecutive slots
 of Z^N, N = sum k_i; a_{i,j} denotes f_j - f_{j+1} within the block for
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .hecke import HeckeParams, HeckePresentation, InvalidParameters
+from .hecke import HeckeParams, InvalidParameters
 from .jsonio import check_field_types
 from .rootdata import (
     Component,
@@ -313,12 +313,13 @@ def semidirect_orders(cb: ClassifiedBlock) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Hecke presentation from a classified block
+# Hecke parameters from a classified block
 # ---------------------------------------------------------------------------
 
 def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, Fraction]],
-                     t_per_line: Sequence[int] | None = None) -> HeckePresentation:
-    """Emit the extended Hecke presentation of a classified block.
+                     t_per_line: Sequence[int] | None = None) -> HeckeParams:
+    """The Hecke parameters of a classified block; its R-group generators,
+    which extend the algebra, are ``cb.r_generators``.
 
     ``invariants`` lists one exponent pair (a_s, a_{s,-}) per simple root
     of the classified components, flattened in component order; the
@@ -345,7 +346,6 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
 
     alpha_exp: list[Fraction] = []
     qi_exp: dict[int, Fraction] = {}
-    qi_by_simple: dict[int, Fraction] = {}
     idx = 0
     for ci, comp in enumerate(datum.components):
         n_simples = sum(1 for r in datum.simple_roots() if any(r[s] for s in comp.slots))
@@ -362,7 +362,7 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
             if is_short_b:
                 coroot = datum.simple_pairs()[len(alpha_exp) - 1][1]
                 if coroot_in_2Lambda(coroot, datum):
-                    qi_exp[ci] = qi_by_simple[len(alpha_exp) - 1] = a - am
+                    qi_exp[ci] = a - am
                 elif am != 0:
                     raise InvalidInvariants(
                         "short-root coroot is not in 2*Lambda^; cannot carry a_{s,-}")
@@ -370,20 +370,19 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
         params = HeckeParams(datum, tuple(alpha_exp), qi_exp)  # conjugacy + q_i placement
     except InvalidParameters as e:
         raise InvalidInvariants(str(e))
-    _check_r_keeps_parameters(datum, params.alpha_exp, qi_by_simple, cb.r_generators)
-    return HeckePresentation(datum, params.alpha_exp, params.qi_exp, cb.r_generators, ())
+    _check_r_keeps_parameters(params, cb.r_generators)
+    return params
 
 
-def _check_r_keeps_parameters(datum, alpha_exp: Sequence[Fraction],
-                              qi_by_simple: dict[int, Fraction],
-                              r_generators: Sequence[WeylElement]) -> None:
+def _check_r_keeps_parameters(params: HeckeParams, r_generators: Sequence[WeylElement]) -> None:
     """R acts on the Hecke algebra only if it keeps the parameters.
 
     Each generator r must carry every simple root alpha_i to a simple root
     alpha_j, up to sign, with a(alpha_j) = a(alpha_i), and a simple root
     carrying q_i to one carrying the same q_i.
     """
-    simples = datum.simple_roots()
+    simples = params.datum.simple_roots()
+    alpha_exp, table = params.alpha_exp, params.simples
     index = {}
     for i, root in enumerate(simples):
         index[root] = index[tuple(-x for x in root)] = i
@@ -392,7 +391,7 @@ def _check_r_keeps_parameters(datum, alpha_exp: Sequence[Fraction],
             j = index.get(r.act(root))
             if j is None:
                 raise InvalidInvariants("an R-group generator does not permute the simple roots")
-            if alpha_exp[j] != alpha_exp[i] or qi_by_simple.get(j) != qi_by_simple.get(i):
+            if alpha_exp[j] != alpha_exp[i] or table[j].qi != table[i].qi:
                 raise InvalidInvariants(
                     f"an R-group generator carries simple root {i} to simple root {j}, "
                     "which has other parameters")

@@ -43,13 +43,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .jsonio import frac_from_json, frac_to_json
 from .laurent import GroupAlgebraElement, QLaurent
 from .rootdata import (
     WEYL_ENUM_GUARD,
     BasedRootDatum,
     WeylElement,
-    build_O_datum,
     coroot_in_2Lambda,
     matrix_rank,
     pair,
@@ -579,51 +577,3 @@ def sqint_check(exponents: Sequence[ExponentChar], central: Sequence[Sequence[in
                 return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# Presentation records and JSON
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HeckePresentation:
-    """Hecke algebra with parameters, plus optional R-group extension."""
-
-    datum: BasedRootDatum
-    alpha_exponents: tuple[Fraction, ...]
-    qi_exponents: tuple[tuple[int, Fraction], ...] = ()   # (component, exponent)
-    r_generators: tuple[WeylElement, ...] = ()
-    cocycle_table: tuple[tuple[tuple, tuple, str], ...] = ()  # ((perm,signs),(perm,signs),"p/q")
-
-    def params(self) -> HeckeParams:
-        return HeckeParams(self.datum, self.alpha_exponents, self.qi_exponents)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "v1",
-            "datum": self.datum.to_json(),
-            "params": {
-                "alpha_exponents": [frac_to_json(a) for a in self.alpha_exponents],
-                "special": [[ci, frac_to_json(b)] for ci, b in self.qi_exponents],
-            },
-            "extended": {
-                "r_group": [{"perm": list(r.perm), "signs": list(r.signs)}
-                            for r in self.r_generators],
-                "cocycle": [[list(a), list(b), v] for (a, b, v) in self.cocycle_table],
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "HeckePresentation":
-        dd = data["datum"]
-        datum = build_O_datum([(c["type"], c["size"], c["t"]) for c in dd["components"]],
-                              dd["rank"])
-        alpha = tuple(frac_from_json(a) for a in data["params"]["alpha_exponents"])
-        qi = tuple((int(ci), frac_from_json(b)) for ci, b in data["params"]["special"])
-        rg = tuple(WeylElement(tuple(g["perm"]), tuple(g["signs"]))
-                   for g in data.get("extended", {}).get("r_group", []))
-        cc = tuple((tuple(a), tuple(b), v)
-                   for a, b, v in data.get("extended", {}).get("cocycle", []))
-        return cls(datum, alpha, qi, rg, cc)
-
-    def __eq__(self, o):
-        return (isinstance(o, HeckePresentation) and self.to_json() == o.to_json())

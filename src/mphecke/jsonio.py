@@ -18,16 +18,6 @@ def frac_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def frac_from_json(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise ValueError("floats are rejected; use int or 'p/q'")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise ValueError(f"cannot parse rational from {v!r}")
-
-
 _KINDS = {int: "an integer", bool: "a bool", str: "a string"}
 
 

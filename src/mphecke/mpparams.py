@@ -423,10 +423,12 @@ class MpHeckePresentation:
     """Presentation data for one tensor factor of a block's Hecke algebra.
 
     ``kind`` is one of GL, SO_odd, SO_even_ext; ``size`` the size label of
-    the underlying datum; ``exponents`` the per-simple-root q-exponents;
-    ``special``/``qi`` the distinguished short-root and companion
-    exponents for odd-orthogonal shapes; ``scale`` the base-field
-    rescaling t (already multiplied into the exponents).
+    the underlying datum; ``special``/``qi`` the distinguished short-root and
+    companion exponents for odd-orthogonal shapes of positive rank (else
+    None); ``scale`` the base-field rescaling t.  The per-simple-root
+    q-exponents follow from these: every long exponent is ``scale`` and an
+    odd-orthogonal datum ends with ``special`` (:attr:`exponents`), so the
+    record stores none of them and compares in constant time.
 
     Every exponent lies in (1/2)Z.  The module stores it as an ``int`` when
     it is integral and otherwise as a ``Fraction`` of denominator 2.  Either
@@ -437,11 +439,9 @@ class MpHeckePresentation:
 
     kind: str
     size: int
-    exponents: tuple[int | Fraction, ...]
     special: int | Fraction | None
     qi: int | Fraction | None
     scale: int
-    extended: bool = False
 
     def rank(self) -> int:
         if self.kind == "GL":
@@ -449,6 +449,23 @@ class MpHeckePresentation:
         if self.kind == "SO_odd":
             return (self.size - 1) // 2
         return self.size // 2
+
+    @property
+    def exponents(self) -> tuple[int | Fraction, ...]:
+        """The q-exponent of each simple root: ``scale`` on every long root, then
+        ``special`` on the short root of SO_odd.  The extended even datum has one
+        exponent per simple root from rank 2 up, and none below."""
+        r = self.rank()
+        if self.kind == "SO_odd":
+            return (self.scale,) * (r - 1) + (self.special,) if r >= 1 else ()
+        if self.kind == "SO_even_ext" and r < 2:
+            return ()
+        return (self.scale,) * r
+
+    @property
+    def extended(self) -> bool:
+        """Whether the outer involution extends the datum."""
+        return self.kind == "SO_even_ext"
 
     def display(self) -> str:
         body = ", ".join(_q_str(e) for e in self.exponents)
@@ -482,25 +499,19 @@ def hecke_for_block(p0: NormedParameter, S: SChoice, cls: InertialClass) -> MpHe
     m = p0.m(cls.label)
     t = cls.t
     if not cls.self_dual:
-        return MpHeckePresentation("GL", m, (t,) * max(m - 1, 0), None, None, t)
+        return MpHeckePresentation("GL", m, None, None, t)
     ap, am, _ = S.get(cls.label)
     kp, km = cls.kappa_plus, cls.kappa_minus
     if kp and km and ap == 0 and am == 0:
-        r = m // 2
-        n_simples = r if r >= 2 else 0
-        return MpHeckePresentation("SO_even_ext", m, (t,) * n_simples,
-                                   None, None, t, extended=True)
+        return MpHeckePresentation("SO_even_ext", m, None, None, t)
     m_O = member_dim(ap, kp) + member_dim(am, km)
     if m_O > m or (m - m_O) % 2:
         raise ParameterError("anchor choice inconsistent with the multiplicity")
     size = m - m_O + 1
-    r = (size - 1) // 2
-    special = _half(t * (2 * (ap + am + 1) - (kp + km)))
-    qi = _half(t * abs(2 * (ap - am) + (km - kp)))
-    exponents = (t,) * (r - 1) + (special,) if r >= 1 else ()
-    return MpHeckePresentation("SO_odd", size, exponents,
-                               special if r >= 1 else None,
-                               qi if r >= 1 else None, t)
+    if size < 3:
+        return MpHeckePresentation("SO_odd", size, None, None, t)
+    return MpHeckePresentation("SO_odd", size, _half(t * (2 * (ap + am + 1) - (kp + km))),
+                               _half(t * abs(2 * (ap - am) + (km - kp))), t)
 
 
 def classical_match(cls: InertialClass, m: int) -> tuple[str, int]:
@@ -539,10 +550,7 @@ def classical_hecke(group: str, size: int, a_plus: int, a_minus: int) -> MpHecke
             raise ParameterError("O_even size must be even")
         m = size
         if ap == 0 and am == 0:
-            r = m // 2
-            n_simples = r if r >= 2 else 0
-            return MpHeckePresentation("SO_even_ext", m, (1,) * n_simples,
-                                       None, None, 1, extended=True)
+            return MpHeckePresentation("SO_even_ext", m, None, None, 1)
         mp, mm = member_dim(ap, 1), member_dim(am, 1)
         special = ap + am
         qi = abs(ap - am)
@@ -564,11 +572,9 @@ def classical_hecke(group: str, size: int, a_plus: int, a_minus: int) -> MpHecke
     cut = m - mp - mm
     if cut < 0 or cut % 2:
         raise ParameterError("anchor dimensions inconsistent with the group size")
-    r = cut // 2
-    exponents = (1,) * (r - 1) + (special,) if r >= 1 else ()
-    return MpHeckePresentation("SO_odd", 2 * r + 1, exponents,
-                               special if r >= 1 else None,
-                               qi if r >= 1 else None, 1)
+    if cut == 0:
+        return MpHeckePresentation("SO_odd", 1, None, None, 1)
+    return MpHeckePresentation("SO_odd", cut + 1, special, qi, 1)
 
 
 def _times(t: int, e: int | Fraction) -> int | Fraction:
@@ -579,10 +585,10 @@ def _times(t: int, e: int | Fraction) -> int | Fraction:
 
 def _scaled(p: MpHeckePresentation, t: int) -> MpHeckePresentation:
     return MpHeckePresentation(
-        p.kind, p.size, tuple(t * e if type(e) is int else _times(t, e) for e in p.exponents),
+        p.kind, p.size,
         _times(t, p.special) if p.special is not None else None,
         _times(t, p.qi) if p.qi is not None else None,
-        p.scale * t, p.extended)
+        p.scale * t)
 
 
 def _class_match(p0: NormedParameter, S: SChoice, cls: InertialClass) -> tuple[str, bool, bool]:
@@ -591,8 +597,7 @@ def _class_match(p0: NormedParameter, S: SChoice, cls: InertialClass) -> tuple[s
     group, gsize = classical_match(cls, m)
     mp = hecke_for_block(p0, S, cls)
     if not cls.self_dual:
-        classical = MpHeckePresentation("GL", m, (1,) * max(m - 1, 0), None, None, 1)
-        return group, mp == _scaled(classical, cls.t), False
+        return group, mp == MpHeckePresentation("GL", m, None, None, cls.t), False
     ap, am, _ = S.get(cls.label)
     for swap in (False, True):
         args = (am, ap) if swap else (ap, am)

@@ -522,6 +522,43 @@ def test_classical_hecke_and_scaled_match_the_fraction_form():
     assert cases == 5 * 26 * 8 * 8 and 0 < raised < cases
 
 
+def test_presentations_match_the_fraction_form_at_large_rank():
+    """The gates above stop at m <= 24 and size <= 25; here the exponents, which the
+    record derives from its other fields, are checked at ranks up to about 1 500."""
+    rng = random.Random(25)
+    ranks = {}
+    for kind, t, m in itertools.product(CLASS_KINDS, (1, 2), (2999, 3000)):
+        cls = mpparams.InertialClass("c", d=2 if kind["self_dual"] else 1, t=t, **kind)
+        p0 = mpparams.NormedParameter(m, (cls,), (("c", m),))
+        if not cls.self_dual:
+            triples = [None]
+        else:
+            # the first choices have the largest rank, the last the smallest
+            choices = _class_choices(cls, m)
+            triples = (choices[:3] + choices[-2:] + rng.sample(choices, min(5, len(choices)))
+                       + _inconsistent_choices(cls, m))
+        for triple in triples:
+            S = SChoice(() if triple is None else (("c",) + triple,))
+            new = _outcome(hecke_for_block, p0, S, cls)
+            _assert_same_presentation(new, _outcome(_oracle_hecke_for_block, p0, S, cls),
+                                      (kind, t, m, triple))
+            assert _outcome(_class_match, p0, S, cls) == _outcome(_oracle_class_match, p0, S, cls)
+            if new is not ParameterError:
+                ranks.setdefault(new.kind, set()).add(new.rank())
+    for group, size in itertools.product(("SO_odd", "O_even", "Sp", "U", "GL"), (2999, 3000, 3001)):
+        for ap, am in ((0, 0), (1, 0), (0, 1), (2, 3), (20, 17), (38, 0)):
+            old = _outcome(_oracle_classical_hecke, group, size, ap, am)
+            new = _outcome(classical_hecke, group, size, ap, am)
+            _assert_same_presentation(new, old, (group, size, ap, am))
+            if old is not ParameterError:
+                ranks.setdefault(new.kind, set()).add(new.rank())
+                for t in (1, 2, 3):
+                    _assert_same_presentation(_scaled(new, t), _oracle_scaled(old, t),
+                                              (group, size, ap, am, t))
+    assert max(ranks["GL"]) == 2999 and max(ranks["SO_even_ext"]) == 1500
+    assert max(ranks["SO_odd"]) == 1500 and 0 in ranks["SO_odd"]
+
+
 def test_class_choices_match_the_sorted_square_scan():
     for type_plus, type_minus in itertools.product((False, True), repeat=2):
         cls = mpparams.InertialClass("c", self_dual=True, type_plus=type_plus, type_minus=type_minus)

@@ -262,24 +262,24 @@ def test_classify_is_deterministic():
 
 def test_hecke_from_block_b2():
     cb = classify(BlockDescriptor("Mp", 1, (line(k=2),)))
-    pres = hecke_from_block(cb, [(F(1), F(0)), (F(3, 2), F(1, 2))])
-    assert pres.alpha_exponents == (F(1), F(2))
-    assert pres.qi_exponents == ((0, F(1)),)
+    params = hecke_from_block(cb, [(F(1), F(0)), (F(3, 2), F(1, 2))])
+    assert params.alpha_exp == (F(1), F(2))
+    assert params.qi_exp == ((0, F(1)),)
 
 
 def test_hecke_from_block_equal_parameter_A():
     cb = classify(BlockDescriptor("Mp", 1, (line(k=3, boundary_pole=False, self_dual_T=False),)))
-    pres = hecke_from_block(cb, [(F(1), F(0)), (F(1), F(0))])
-    assert pres.alpha_exponents == (F(1), F(1))
-    assert pres.qi_exponents == ()
+    params = hecke_from_block(cb, [(F(1), F(0)), (F(1), F(0))])
+    assert params.alpha_exp == (F(1), F(1))
+    assert params.qi_exp == ()
 
 
 def test_hecke_from_block_c_to_b_conversion():
     cb = classify(BlockDescriptor("Sp", 0, (line(k=2),)))
-    pres = hecke_from_block(cb, [(F(1), F(0)), (F(2), F(1))])
-    assert [c.letter for c in pres.datum.components] == ["B"]
+    params = hecke_from_block(cb, [(F(1), F(0)), (F(2), F(1))])
+    assert [c.letter for c in params.datum.components] == ["B"]
     # the converted short root has coroot 2 e_2, so q_i is carried
-    assert pres.qi_exponents == ((0, F(1)),)
+    assert params.qi_exp == ((0, F(1)),)
 
 
 def test_hecke_from_block_rejects_minus_on_type_A():
@@ -299,8 +299,8 @@ def test_hecke_from_block_rejects_unequal_conjugates():
     assert [c.label for c in cb.components] == ["D3"]
     with pytest.raises(InvalidInvariants):
         hecke_from_block(cb, [(F(1), F(0)), (F(2), F(0)), (F(1), F(0))])
-    pres = hecke_from_block(cb, [(F(1), F(0))] * 3)
-    assert pres.alpha_exponents == (F(1), F(1), F(1))
+    params = hecke_from_block(cb, [(F(1), F(0))] * 3)
+    assert params.alpha_exp == (F(1), F(1), F(1))
 
 
 def test_descriptor_json_roundtrip():
@@ -325,9 +325,9 @@ def test_hecke_from_block_rejects_r_swapping_unequal_parameters():
     cb = _d2_with_flip()
     with pytest.raises(InvalidInvariants, match="other parameters"):
         hecke_from_block(cb, [(F(1), F(0)), (F(2), F(0))])
-    pres = hecke_from_block(cb, [(F(1), F(0)), (F(1), F(0))])
-    assert pres.alpha_exponents == (F(1), F(1))
-    assert pres.r_generators == cb.r_generators
+    params = hecke_from_block(cb, [(F(1), F(0)), (F(1), F(0))])
+    assert params.alpha_exp == (F(1), F(1))
+    assert cb.r_generators == (WeylElement((0, 1), (1, -1)),)
 
 
 def test_hecke_from_block_rejects_r_swapping_unequal_qi():
@@ -336,5 +336,5 @@ def test_hecke_from_block_rejects_r_swapping_unequal_qi():
     assert labels(cb) == ["B1", "B1"]
     with pytest.raises(InvalidInvariants, match="other parameters"):
         hecke_from_block(cb, [(F(2), F(1)), (F(3), F(0))])
-    pres = hecke_from_block(cb, [(F(2), F(1)), (F(2), F(1))])
-    assert pres.qi_exponents == ((0, F(1)), (1, F(1)))
+    params = hecke_from_block(cb, [(F(2), F(1)), (F(2), F(1))])
+    assert params.qi_exp == ((0, F(1)), (1, F(1)))

@@ -10,7 +10,6 @@ from mphecke.hecke import (
     ExtendedHeckeElement,
     HeckeElement,
     HeckeParams,
-    HeckePresentation,
     InvalidParameters,
     commute_zu_ga,
     ext_mul,
@@ -572,14 +571,3 @@ def test_sqint_examples():
     skew = ExponentChar("1", tuple(x + 1 for x in ac))
     assert not sqint_check([skew], [(1, 1)], gl2d)  # not unitary on the centre
 
-
-# -- presentation serialization ---------------------------------------------------------
-
-def test_presentation_json_roundtrip():
-    d = build_O_datum([("B2", 2, 1), ("A2", 3, 1)], 5)
-    flip = WeylElement((0, 1, 2, 3, 4), (1, -1, 1, 1, 1))
-    pres = HeckePresentation(d, (F(1), F(3, 2), F(1), F(1)), ((0, F(1, 2)),), (flip,), ())
-    data = pres.to_json()
-    assert HeckePresentation.from_json(data).to_json() == data
-    import json
-    assert json.loads(json.dumps(data)) == data

@@ -64,7 +64,7 @@ for name in mphecke.__all__:
 assert not bad, bad
 """
     loaded_after(code)
-    assert len(mphecke.__all__) == 69
+    assert len(mphecke.__all__) == 68
     assert {"laurent", "rootdata", "hecke", "rankone", "blocks", "mpparams"} <= set(mphecke.__all__)
 
 

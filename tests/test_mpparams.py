@@ -296,7 +296,7 @@ def test_hecke_for_block_gl():
     p0 = NormedParameter(3, POOL, (("gl", 3),))
     (S,) = enumerate_S(p0)
     pres = hecke_for_block(p0, S, GL_CLS)
-    assert pres == MpHeckePresentation("GL", 3, (F(1), F(1)), None, None, 1)
+    assert pres == MpHeckePresentation("GL", 3, None, None, 1)
 
 
 def test_hecke_for_block_weil_plus_shape():
@@ -336,7 +336,7 @@ def test_frac_to_json_gives_ints_and_p_over_q_strings():
         assert got == want and type(got) is type(want), x
     # a bool is read as the rational 1, never written as the JSON literal true
     assert json.dumps(frac_to_json(True)) == "1"
-    pres = MpHeckePresentation("SO_odd", 5, (1, F(5, 2)), F(5, 2), F(1, 2), 1)
+    pres = MpHeckePresentation("SO_odd", 5, F(5, 2), F(1, 2), 1)
     assert pres.to_json() == {"kind": "SO_odd", "size": 5, "exponents": [1, "5/2"],
                               "special": "5/2", "qi": "1/2", "scale": 1, "extended": False}
 
