@@ -53,7 +53,7 @@ def parse_fraction(v) -> Fraction:
         raise InputError(f"non-exact numeric literal {v!r}")
     try:
         return Fraction(v)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):
         raise InputError(f"cannot parse rational {v!r}")
 
 
@@ -110,7 +110,7 @@ def parse_grid(spec: str, step: Fraction) -> list[Fraction]:
     try:
         lo_s, hi_s = spec.split("..")
         lo, hi = Fraction(lo_s), Fraction(hi_s)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise InputError(f"bad grid {spec!r}; expected 'lo..hi'")
     if lo > hi or step <= 0:
         raise InputError("empty grid")
@@ -196,6 +196,8 @@ def run_hecke_suite(max_rank: int = 4, n_triples: int = 25, seed: int = 20250809
 
 def cmd_hecke_check(args) -> int:
     rep = run_hecke_suite(max_rank=args.max_rank)
+    if not rep["data"]:
+        raise InputError(f"--max-rank {args.max_rank} selects no datum")
     emit(encode(rep, args), args)
     return 0 if rep["all_ok"] else 1
 

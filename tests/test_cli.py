@@ -45,6 +45,12 @@ def test_rankone_bad_grid(capsys):
     assert code == 2 and "grid" in err
 
 
+@pytest.mark.parametrize("option, value", [("--step", "1/0"), ("--grid", "1/0..2")])
+def test_rankone_zero_denominator_exits_2(capsys, option, value):
+    code, out, err = run(capsys, "rankone-verify", option, value)
+    assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_grid_is_counted_before_it_is_built(capsys, monkeypatch):
     # 1/2..1 at the default step 1/2 has 2 points
     _, full, _ = run(capsys, "rankone-verify", "--grid", "1/2..1")
@@ -75,6 +81,12 @@ def test_hecke_check(capsys):
     code, out, _ = run(capsys, "hecke-check", "--max-rank", "2")
     assert code == 0
     assert json.loads(out)["all_ok"]
+
+
+def test_hecke_check_selecting_no_datum_exits_2(capsys):
+    # every datum of the suite has rank 2 or more
+    code, out, err = run(capsys, "hecke-check", "--max-rank", "1")
+    assert code == 2 and out == "" and "selects no datum" in err
 
 
 def test_blocks_classify(tmp_path, capsys):
