@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mphecke import laurent
 from mphecke.laurent import (
     GroupAlgebraElement,
     NotDivisible,
     QLaurent,
     RationalFunction,
+    _content,
     _coprime_at_a_point,
     rf_normalize,
 )
@@ -575,6 +577,140 @@ def test_coprime_at_a_point_certifies_and_abstains():
     assert not _coprime_at_a_point([-u(1), u(0)], [QLaurent.const(Fraction(-13, 7)), u(0)])
     # a leading coefficient that vanishes at the point proves nothing either
     assert not _coprime_at_a_point([u(0), u(1, 7) - u(0, 13)], [u(0), u(0)])
+
+
+def _equality_is_the_canonical_pair(values):
+    for x in values:
+        for y in values:
+            same = (x.num, x.den) == (y.num, y.den)
+            # cross-multiplication decides equality whatever the form of the pairs
+            assert (x.num * y.den == y.num * x.den) == same, (x, y)
+            assert (x == y) == same, (x, y)
+
+
+@given(_chains())
+def test_equality_of_chain_values_compares_the_canonical_pair(start_chain):
+    # every value is canonical, so equality may compare (num, den); rf_normalize
+    # of each value's own pair adds an equal value that must be the same pair
+    acc, chain = start_chain
+    values = [acc] + [y for _, y in chain]
+    for op, y in chain:
+        if op == "/" and y.is_zero():
+            continue
+        acc = {"+": acc.__add__, "-": acc.__sub__, "*": acc.__mul__, "/": acc.__truediv__}[op](y)
+        values.append(acc)
+    values += [rf_normalize(x.num, x.den) for x in values]
+    _equality_is_the_canonical_pair(values)
+
+
+# The two primitive pseudo-remainder loops as they stood before one routine
+# replaced them, kept as oracles: over Z, and over Q[u, u^-1].
+
+def _old_int_polygcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive pseudo-remainder gcd over Z, ascending coefficients."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def primitive(p):
+        g = math.gcd(*p)
+        return [c // g for c in p] if g > 1 else p
+
+    a, b = trim(list(a)), trim(list(b))
+    if not b:
+        return primitive(a)
+    while b:
+        # pseudo-remainder of a by b, re-primitivised each step
+        r = list(a)
+        lb = b[-1]
+        db = len(b) - 1
+        while r and len(r) - 1 >= db:
+            lead = r[-1]
+            shift = len(r) - 1 - db
+            r = [c * lb for c in r]
+            for i, bc in enumerate(b):
+                r[shift + i] -= lead * bc
+            r = trim(r)
+        a, b = b, primitive(trim(r))
+    return primitive(a)
+
+
+def _old_xpoly_primitive(p: list[QLaurent]) -> list[QLaurent]:
+    g = _content(p)
+    if g.is_zero() or g.is_one():
+        return p
+    return [c if c.is_zero() else c.exact_div(g) for c in p]
+
+
+def _old_xgcd_primitive(a: list[QLaurent], b: list[QLaurent]) -> list[QLaurent]:
+    """Gcd in Q[u,u^-1][X] up to units, by a primitive pseudo-remainder
+    sequence (ascending dense coefficients)."""
+
+    def trim(p):
+        while p and p[-1].is_zero():
+            p.pop()
+        return p
+
+    a, b = trim(list(a)), trim(list(b))
+    if not a:
+        return _old_xpoly_primitive(b)
+    if not b:
+        return _old_xpoly_primitive(a)
+    a, b = _old_xpoly_primitive(a), _old_xpoly_primitive(b)
+    while b:
+        r = list(a)
+        lb = b[-1]
+        db = len(b) - 1
+        while r and len(r) - 1 >= db:
+            lead = r[-1]
+            shift = len(r) - 1 - db
+            r = [c * lb for c in r]
+            for i, bc in enumerate(b):
+                r[shift + i] = r[shift + i] - lead * bc
+            r = trim(r)
+        a, b = b, _old_xpoly_primitive(trim(r))
+    return a
+
+
+def _int_gcd(a, b):
+    return laurent._int_polygcd(list(a), list(b))
+
+
+def _xgcd(a, b):
+    return laurent._xgcd_primitive(list(a), list(b))
+
+
+_int_polys = st.lists(st.integers(-6, 6), max_size=5)
+
+
+@given(_int_polys, _int_polys, _int_polys)
+@example([], [], [])
+@example([0, 0], [3], [])
+@example([4, 0, 6, 0], [0, 0], [])
+def test_one_prs_loop_matches_the_old_loop_over_z(a, b, g):
+    # a common factor g makes the sequence run to a gcd of positive degree
+    ag = [sum(a[i] * g[k - i] for i in range(len(a)) if 0 <= k - i < len(g))
+          for k in range(len(a) + len(g) - 1)] if a and g else a
+    for x, y in ((a, b), (b, a), (ag, b), (a, [2 * c for c in a])):
+        assert _int_gcd(x, y) == _old_int_polygcd(x, y)
+
+
+_x_coeffs = st.dictionaries(st.sampled_from([-4, 0, 4]), st.integers(-2, 2), max_size=2).map(QLaurent)
+_x_polys = st.lists(_x_coeffs, max_size=3)
+
+
+@given(_x_polys, _x_polys, _x_polys)
+@example([], [], [])
+@example([QLaurent.zero()], [QLaurent.one()], [])
+@example([QLaurent.const(2), QLaurent({0: 2, 4: 2})], [], [])
+def test_one_prs_loop_matches_the_old_loop_over_laurent_polynomials(a, b, g):
+    ag = [sum((a[i] * g[k - i] for i in range(len(a)) if 0 <= k - i < len(g)), QLaurent.zero())
+          for k in range(len(a) + len(g) - 1)] if a and g else a
+    q_plus_1 = QLaurent({0: 1, 4: 1})
+    for x, y in ((a, b), (b, a), (ag, b), (a, [c * q_plus_1 for c in a])):
+        assert _xgcd(x, y) == _old_xgcd_primitive(x, y)
 
 
 def test_rf_zero_denominator():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_laurent import _equality_is_the_canonical_pair
 
 from mphecke.laurent import GroupAlgebraElement as GA
 from mphecke.laurent import QLaurent, RationalFunction, rf_normalize
@@ -139,6 +140,17 @@ def test_mu_and_inverse_are_the_canonical_eight_factor_forms(a, b):
     value, inverse = _mu_from_eight_factors(a, b)
     assert (mu.value.num, mu.value.den) == (value.num, value.den)
     assert (mu.inverse.num, mu.inverse.den) == (inverse.num, inverse.den)
+
+
+def test_equality_of_mu_values_compares_the_canonical_pair():
+    # mu_build stores its pairs without a gcd, so each must already be the one
+    # rf_normalize gives; then equality may compare (num, den)
+    values = []
+    for a, b in QUARTER_PAIRS:
+        mu = mu_build(a, b)
+        values += [mu.value, mu.inverse]
+    values += [rf_normalize(x.num, x.den) for x in values]
+    _equality_is_the_canonical_pair(values)
 
 
 def _specialisations_by_product(mu):
