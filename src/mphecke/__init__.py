@@ -18,12 +18,10 @@ _EXPORTS = {
                  "build_O_datum", "classical_datum", "coroot_in_2Lambda", "reduced_word",
                  "weyl_enumerate", "weyl_length"),
     "hecke": ("Cocycle", "ExponentChar", "ExtendedHeckeElement", "HeckeElement", "HeckeParams",
-              "ModuleExponents", "ext_mul", "he_mul", "is_central", "sqint_check",
-              "tempered_check"),
+              "ext_mul", "he_mul", "is_central", "sqint_check", "tempered_check"),
     "rankone": ("InconsistentSigns", "MuFunction", "RankOneAlgebra", "RankOneElement", "build_Ts",
-                "j_square_check", "mu_build", "mu_zeros_poles", "verify_quadratic"),
-    "blocks": ("BlockDescriptor", "ClassifiedBlock", "CuspidalLine", "classify", "hecke_from_block",
-               "r_group", "semidirect_orders"),
+                "j_square_check", "mu_build", "verify_quadratic"),
+    "blocks": ("BlockDescriptor", "ClassifiedBlock", "CuspidalLine", "classify", "hecke_from_block"),
     "mpparams": ("AltChar", "DiscreteParameter", "InertialClass", "JordEntry",
                  "MpHeckePresentation", "NormedParameter", "SChoice", "classical_hecke",
                  "classical_match", "enumerate_S", "enumerate_alt_chars", "epsilon_Z",

@@ -189,19 +189,14 @@ def classify(bd: BlockDescriptor, extra_r_generators: Sequence[WeylElement] = ()
     n = bd.ambient_rank
     offs = _line_offsets(bd)
     double = _boundary_is_double(bd)
+    gl = bd.ambient == "GL"
     comps: list[ClassifiedComponent] = []
     for i, line in enumerate(bd.lines):
         off, k = offs[i], line.k
         a = [_fvec(n, {off + j: 1, off + j + 1: -1}) for j in range(k - 1)]
         boundary = _fvec(n, {off + k - 1: 2 if double else 1})
-        if bd.ambient == "GL":
-            if line.gl_singular and k >= 2:
-                comps.append(ClassifiedComponent(i, f"A{k - 1}", tuple(a), tuple(range(off, off + k))))
-            else:
-                comps.append(ClassifiedComponent(i, "empty", (), tuple(range(off, off + k))))
-            continue
         consult_tau = bd.ambient == "SO_even" and line.d % 2 == 1
-        if line.boundary_pole:
+        if line.boundary_pole and not gl:
             letter = "C" if double else "B"
             if line.gl_singular:
                 comps.append(ClassifiedComponent(
@@ -211,7 +206,7 @@ def classify(bd: BlockDescriptor, extra_r_generators: Sequence[WeylElement] = ()
                     comps.append(ClassifiedComponent(
                         i, f"{letter}1", (_fvec(n, {off + j: 2 if double else 1}),),
                         (off + j,)))
-        elif line.self_dual_T and (line.tau_T or not consult_tau):
+        elif line.self_dual_T and not gl and (line.tau_T or not consult_tau):
             if line.gl_singular:
                 fork = _fvec(n, {off + k - 2: 1, off + k - 1: 1}) if k >= 2 else None
                 base = tuple(a) + (fork,) if k >= 2 else ()
@@ -300,18 +295,6 @@ def _r_group_data(bd: BlockDescriptor, comps: Sequence[ClassifiedComponent],
     return gens, report, bool(extra)
 
 
-def r_group(bd: BlockDescriptor, cb: ClassifiedBlock,
-            extra_r_generators: Sequence[WeylElement] = ()) -> tuple[list[WeylElement], list[dict]]:
-    """Generators of the R-group with a structure report."""
-    gens, report, _ = _r_group_data(bd, cb.components, extra_r_generators)
-    return gens, report
-
-
-def semidirect_orders(cb: ClassifiedBlock) -> tuple[int, int, int]:
-    """(|W_O|, |R|, |W(M,O)|) with the product structure |W(M,O)| = |R| * |W_O|."""
-    return cb.w_o_order, cb.r_order, cb.w_o_order * cb.r_order
-
-
 # ---------------------------------------------------------------------------
 # Hecke parameters from a classified block
 # ---------------------------------------------------------------------------
@@ -361,7 +344,7 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
             alpha_exp.append(a + am)
             if is_short_b:
                 coroot = datum.simple_pairs()[len(alpha_exp) - 1][1]
-                if coroot_in_2Lambda(coroot, datum):
+                if coroot_in_2Lambda(coroot):
                     qi_exp[ci] = a - am
                 elif am != 0:
                     raise InvalidInvariants(

@@ -100,9 +100,10 @@ def _json_default(x):
 # rankone-verify
 # ---------------------------------------------------------------------------
 
-# The most points a rankone-verify grid may have.  The sweep runs over the
-# pairs a >= b, so this bounds it at about half a million of them.
-GRID_GUARD = 1_000
+# The most points a rankone-verify grid may have.  The sweep runs one
+# quadratic_report per pair a >= b, about 13 ms each, so its work grows as
+# the square of the points: 140 points are 9 870 pairs, a few minutes.
+GRID_GUARD = 140
 
 
 def parse_grid(spec: str, step: Fraction) -> list[Fraction]:
@@ -151,16 +152,16 @@ def _hecke_test_data(max_rank: int):
     return [(name, d, p) for name, d, p in out if d.rank <= max_rank]
 
 
-def _random_element(rng, d, p, degree=2, nterms=2):
+def _random_element(rng, d, p):
     from .hecke import HeckeElement
     from .laurent import GroupAlgebraElement, QLaurent
     from .rootdata import WeylElement
     ws = [d.simple_reflection(i) for i in range(d.num_simples())]
     ws.append(WeylElement.identity(d.rank))
     out = HeckeElement.zero(d, p)
-    for _ in range(nterms):
+    for _ in range(2):
         w = rng.choice(ws)
-        vec = tuple(rng.randint(-degree, degree) for _ in range(d.rank))
+        vec = tuple(rng.randint(-2, 2) for _ in range(d.rank))
         coeff = QLaurent({4 * rng.randint(0, 1): Fraction(rng.randint(-3, 3))})
         ga = GroupAlgebraElement.monomial(vec, coeff)
         if not ga.is_zero():
@@ -168,12 +169,12 @@ def _random_element(rng, d, p, degree=2, nterms=2):
     return out
 
 
-def run_hecke_suite(max_rank: int = 4, n_triples: int = 25, seed: int = 20250809) -> dict:
+def run_hecke_suite(max_rank: int = 4) -> dict:
     import random
 
     from .hecke import HeckeElement, he_mul as mul
     from .rootdata import braid_order
-    rng, report = random.Random(seed), []
+    rng, report = random.Random(20250809), []
     for name, d, p in _hecke_test_data(max_rank):
         one = HeckeElement.one(d, p)
         us = [HeckeElement.u_simple(d, p, i) for i in range(d.num_simples())]
@@ -186,7 +187,7 @@ def run_hecke_suite(max_rank: int = 4, n_triples: int = 25, seed: int = 20250809
                 cur_r = mul(cur_r, us[i] if k % 2 else us[j])
             braid.append(cur_l == cur_r)
         assoc = []
-        for _ in range(n_triples):
+        for _ in range(25):
             x, y, z = (_random_element(rng, d, p) for _ in range(3))
             assoc.append(mul(mul(x, y), z) == mul(x, mul(y, z)))
         report.append({"datum": name, "quadratic": all(quad), "braid": all(braid),

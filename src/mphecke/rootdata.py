@@ -402,7 +402,7 @@ def braid_order(i: int, j: int, d: BasedRootDatum) -> int:
     raise ValueError("braid order exceeds classical bound")
 
 
-def coroot_in_2Lambda(coroot: Sequence, d: BasedRootDatum) -> bool:
+def coroot_in_2Lambda(coroot: Sequence) -> bool:
     """Whether the coroot lies in 2 * Z^rank (every coordinate an even integer)."""
     for x in coroot:
         x = Fraction(x)

@@ -11,7 +11,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from mphecke.blocks import BlockDescriptor, CuspidalLine, classify, semidirect_orders
+from mphecke.blocks import BlockDescriptor, CuspidalLine, classify
 from mphecke.hecke import (
     ExponentChar,
     HeckeElement,
@@ -203,8 +203,7 @@ def test_criterion_4_classification_table():
         assert [c.label for c in cb.components] == labels, bd
         if r_order is not None:
             assert cb.r_order == r_order, bd
-        w, r, wmo = semidirect_orders(cb)
-        assert wmo == w * r
+        assert cb.wmo_order == cb.w_o_order * cb.r_order
 
     # R-group structure: Z/2 per D-component, symmetric groups for GL lines
     cb = classify(BlockDescriptor("Mp", 1, (L(1, 4, True, False, True),)))
@@ -224,8 +223,7 @@ def test_criterion_4_classification_table():
             pole = sd and rng.random() < 0.5
             lines.append(L(rng.randint(1, 2), k, rng.random() < 0.5, pole, sd))
         cb = classify(BlockDescriptor(ambient, rng.randint(0, 2), tuple(lines)))
-        w, r, wmo = semidirect_orders(cb)
-        assert wmo == w * r == cb.wmo_order
+        assert cb.wmo_order == cb.w_o_order * cb.r_order
     report(4, "classification table")
 
 

@@ -10,8 +10,6 @@ from mphecke.blocks import (
     InvalidInvariants,
     classify,
     hecke_from_block,
-    r_group,
-    semidirect_orders,
 )
 from mphecke.rootdata import WeylElement, group_closure
 
@@ -171,9 +169,8 @@ def test_base_positivity_count():
 def test_r_group_d_line_is_z2():
     bd = BlockDescriptor("Mp", 1, (line(k=4, boundary_pole=False),))
     cb = classify(bd)
-    gens, report = r_group(bd, cb)
     assert cb.r_order == 2
-    (g,) = gens
+    (g,) = cb.r_generators
     # exchanges a_{k-1} and a_{k-1} + 2 a_k: the flip of the last coordinate
     assert g == WeylElement((0, 1, 2, 3), (1, 1, 1, -1))
     fork = (0, 0, 1, 1)
@@ -228,11 +225,11 @@ def test_extra_r_generators_flagged():
 
 def test_semidirect_orders_examples():
     cb = classify(BlockDescriptor("Mp", 1, (line(k=2),)))
-    assert semidirect_orders(cb) == (8, 1, 8)
+    assert (cb.w_o_order, cb.r_order, cb.wmo_order) == (8, 1, 8)
     cb2 = classify(BlockDescriptor("Mp", 1, (line(k=3, boundary_pole=False),)))
-    assert semidirect_orders(cb2) == (24, 2, 48)
+    assert (cb2.w_o_order, cb2.r_order, cb2.wmo_order) == (24, 2, 48)
     cb3 = classify(BlockDescriptor("GL", 0, (CuspidalLine(2, 3, False, False, False),)))
-    assert semidirect_orders(cb3) == (1, 6, 6)
+    assert (cb3.w_o_order, cb3.r_order, cb3.wmo_order) == (1, 6, 6)
 
 
 def test_semidirect_orders_randomized():
@@ -248,9 +245,7 @@ def test_semidirect_orders_randomized():
             lines.append(CuspidalLine(rng.randint(1, 2), k, gl_singular, pole, self_dual))
         bd = BlockDescriptor(ambient, rng.randint(0, 2), tuple(lines))
         cb = classify(bd)
-        w, r, wmo = semidirect_orders(cb)
-        assert wmo == w * r
-        assert wmo == cb.wmo_order
+        assert cb.wmo_order == cb.w_o_order * cb.r_order
 
 
 def test_classify_is_deterministic():

@@ -64,6 +64,21 @@ def test_grid_is_counted_before_it_is_built(capsys, monkeypatch):
         cli.parse_grid(f"0..{10 ** 20}", F(1, 4))
 
 
+def test_grid_guard_bounds_the_pairs_of_the_sweep(capsys, monkeypatch):
+    # one quadratic_report, of four rows, per pair a >= b: p (p + 1) / 2 pairs for p positive points
+    monkeypatch.setattr(cli, "GRID_GUARD", 3)
+    code, out, _ = run(capsys, "rankone-verify", "--grid", "1/2..3/2")
+    assert code == 0 and len(json.loads(out)["results"]) == 4 * 3 * 4 // 2
+    monkeypatch.setattr(cli, "GRID_GUARD", 2)
+    assert run(capsys, "rankone-verify", "--grid", "1/2..3/2")[0] == 2
+    monkeypatch.undo()
+    # at about 13 ms per pair, the largest accepted grid runs in minutes, not hours
+    assert cli.GRID_GUARD * (cli.GRID_GUARD + 1) // 2 <= 10_000
+    assert len(cli.parse_grid(f"1..{cli.GRID_GUARD}", F(1))) == cli.GRID_GUARD
+    with pytest.raises(cli.InputError, match=f"grid of {cli.GRID_GUARD + 1} points exceeds"):
+        cli.parse_grid(f"0..{cli.GRID_GUARD}", F(1))
+
+
 @pytest.mark.parametrize("spec, step", [("0..0", "1"), ("1/2..3", "1/2"), ("-1..7/3", "2/3"),
                                         ("0..1", "3/4"), ("1..2", "1/3"), ("-5/4..5/4", "1/4")])
 def test_grid_points_match_stepping_from_lo(spec, step):

@@ -50,7 +50,7 @@ def _q_alpha(p, i):
 
 def _special_simple(p, i):
     _, coroot = p.datum.simple_pairs()[i]
-    return coroot_in_2Lambda(coroot, p.datum)
+    return coroot_in_2Lambda(coroot)
 
 
 def _qi_for_simple(p, i):

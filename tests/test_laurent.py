@@ -675,11 +675,11 @@ def _old_xgcd_primitive(a: list[QLaurent], b: list[QLaurent]) -> list[QLaurent]:
 
 
 def _int_gcd(a, b):
-    return laurent._int_polygcd(list(a), list(b))
+    return laurent._prs(a, b, 0, laurent._int_primitive)
 
 
 def _xgcd(a, b):
-    return laurent._xgcd_primitive(list(a), list(b))
+    return laurent._prs(a, b, QLaurent.zero(), laurent._xpoly_primitive)
 
 
 _int_polys = st.lists(st.integers(-6, 6), max_size=5)

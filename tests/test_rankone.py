@@ -17,7 +17,6 @@ from mphecke.rankone import (
     build_Ts,
     j_square_check,
     mu_build,
-    mu_zeros_poles,
     quadratic_report,
     verify_quadratic,
 )
@@ -70,21 +69,21 @@ def test_mu_rejects_bad_exponents():
 
 
 def test_mu_zeros_poles_10():
-    zeros, poles = mu_zeros_poles(mu_build(1, 0))
-    assert zeros == [((1, F(0)), 2)]
-    assert poles == [((1, F(-1)), 1), ((1, F(1)), 1)]
+    mu = mu_build(1, 0)
+    assert mu.zeros == (((1, F(0)), 2),)
+    assert mu.poles == (((1, F(-1)), 1), ((1, F(1)), 1))
 
 
 def test_mu_zeros_poles_21():
-    zeros, poles = mu_zeros_poles(mu_build(2, 1))
-    assert zeros == [((-1, F(0)), 2), ((1, F(0)), 2)]
-    assert sorted(poles) == sorted([
+    mu = mu_build(2, 1)
+    assert mu.zeros == (((-1, F(0)), 2), ((1, F(0)), 2))
+    assert sorted(mu.poles) == sorted([
         ((1, F(2)), 1), ((1, F(-2)), 1), ((-1, F(1)), 1), ((-1, F(-1)), 1)])
 
 
 def test_mu_constant_no_zeros_poles():
-    zeros, poles = mu_zeros_poles(mu_build(0, 0))
-    assert zeros == [] and poles == []
+    mu = mu_build(0, 0)
+    assert mu.zeros == () and mu.poles == ()
 
 
 def _monomial_roots(ga):
@@ -116,9 +115,8 @@ def _monomial_roots(ga):
 @pytest.mark.parametrize("a,b", [(1, 0), (2, 1), (F(3, 2), F(1, 2)), (1, 1), (0, 0)])
 def test_mu_zeros_poles_against_factoring_oracle(a, b):
     mu = mu_build(a, b)
-    zeros, poles = mu_zeros_poles(mu)
-    assert dict(_monomial_roots(mu.value.num)) == {k: m for k, m in zeros}
-    assert dict(_monomial_roots(mu.value.den)) == {k: m for k, m in poles}
+    assert dict(_monomial_roots(mu.value.num)) == {k: m for k, m in mu.zeros}
+    assert dict(_monomial_roots(mu.value.den)) == {k: m for k, m in mu.poles}
 
 
 def _mu_from_eight_factors(a, b):
@@ -178,8 +176,7 @@ def test_inconsistent_squares_are_reported():
 def test_mu_inverse_even_pole_orders_at_fixed_points():
     # the double zeros of mu at X = +-1 are the only fixed-point zeros
     for a, b in [(1, 1), (2, 1)]:
-        zeros, _ = mu_zeros_poles(mu_build(a, b))
-        fixed = {k: m for (k, m) in zeros if k in ((1, F(0)), (-1, F(0)))}
+        fixed = {k: m for (k, m) in mu_build(a, b).zeros if k in ((1, F(0)), (-1, F(0)))}
         assert all(m % 2 == 0 for m in fixed.values())
 
 

@@ -127,10 +127,10 @@ def test_coroot_in_2Lambda():
     b2 = datum("SO_odd", 5)
     short = b2.simple_pairs()[1]
     long_ = b2.simple_pairs()[0]
-    assert coroot_in_2Lambda(short[1], b2)
-    assert not coroot_in_2Lambda(long_[1], b2)
+    assert coroot_in_2Lambda(short[1])
+    assert not coroot_in_2Lambda(long_[1])
     gl2 = datum("GL", 2)
-    assert not coroot_in_2Lambda(gl2.simple_pairs()[0][1], gl2)
+    assert not coroot_in_2Lambda(gl2.simple_pairs()[0][1])
 
 
 # -- build_O_datum ---------------------------------------------------------------
