@@ -28,9 +28,11 @@ from mphecke.mpparams import (
     InertialClass,
     JordEntry,
     NormedParameter,
+    SChoice,
     enumerate_S,
     enumerate_alt_chars,
     enumerate_blocks,
+    hecke_for_block,
     member_dim,
     split_so,
     verify_match,
@@ -373,17 +375,28 @@ def _signed_alternating_counts(members):
     return counts
 
 
+def _presentation_key(hecke):
+    """A block's presentations as a sorted tuple of (class label, presentation)."""
+    return tuple(sorted(hecke.items()))
+
+
 def _split_by_sign_vectors(p0):
-    """The per-sign block counts of p0, with no call into ``mpparams``'s enumeration:
-    the anchor choices by ``_brute_force_S`` per class, then every sign vector."""
+    """{+1: Counter, -1: Counter}: the presentation keys of p0's blocks per central
+    sign, with no call into ``mpparams``'s enumeration.  The anchor choices come
+    from ``_brute_force_S`` per class, the presentations from ``hecke_for_block``
+    per class and choice, and each choice's key counts once per sign vector."""
     classes = [c for c in p0.classes if c.self_dual and p0.m(c.label) > 0]
-    totals = {1: 0, -1: 0}
+    fixed = {c.label: hecke_for_block(p0, SChoice(()), c) for c in p0.support() if not c.self_dual}
+    towers = {1: Counter(), -1: Counter()}
     for combo in itertools.product(*(sorted(_brute_force_S(c, p0.m(c.label))) for c in classes)):
         members = [mem for c, (ap, am, _) in zip(classes, combo)
                    for mem in ((ap, c.kappa_plus), (am, c.kappa_minus))]
+        key = _presentation_key({**fixed, **{c.label: hecke_for_block(p0, SChoice(((c.label,) + triple,)), c)
+                                             for c, triple in zip(classes, combo)}})
         for sign, n in _signed_alternating_counts(members).items():
-            totals[sign] += n
-    return totals
+            if n:
+                towers[sign][key] += n
+    return towers
 
 
 def test_criterion_9_mp_so_split():
@@ -391,17 +404,20 @@ def test_criterion_9_mp_so_split():
         blocks = list(enumerate_blocks(p0).records())
         parts = split_so(p0)
         assert len(parts[1]) + len(parts[-1]) == len(blocks)
-        key = lambda b: tuple(sorted((label, pres) for label, pres in b["hecke"].items()))
-        mp_side = Counter(key(b) for b in blocks)
-        so_side = Counter(key(b) for sign in (1, -1) for b in parts[sign])
+        mp_side = Counter(_presentation_key(b["hecke"]) for b in blocks)
+        so_side = Counter(_presentation_key(b["hecke"]) for sign in (1, -1) for b in parts[sign])
         assert mp_side == so_side, p0.to_json()
-    # the size of each tower against a count that never reads epsilon_Z
+    # each tower's size and presentations against a count that never reads epsilon_Z
     towers = Counter()
     for p0 in pool_parameters(8):
         parts = split_so(p0)
         expected = _split_by_sign_vectors(p0)
-        assert (len(parts[1]), len(parts[-1])) == (expected[1], expected[-1]), p0.to_json()
-        towers.update(expected)
+        sizes = {sign: sum(expected[sign].values()) for sign in (1, -1)}
+        assert (len(parts[1]), len(parts[-1])) == (sizes[1], sizes[-1]), p0.to_json()
+        for sign in (1, -1):
+            assert Counter(_presentation_key(b["hecke"]) for b in parts[sign]) == expected[sign], \
+                (p0.to_json(), sign)
+        towers.update(sizes)
     assert towers[1] and towers[-1]
     report(9, "metaplectic/orthogonal block split")
 
