@@ -621,7 +621,7 @@ def verify_match(p0: NormedParameter) -> dict:
     classical exponents by t; the unitary-type comparison may need the
     argument order (a+, a-) swapped, which is recorded.  The rows of a
     class that is not self-dual are matched by definition: its GL factor
-    is the one presentation there is, with nothing independent to compare.  Mismatches are
+    has no independent formula to be compared with.  Mismatches are
     reported, never raised.  A class's comparison depends on S only
     through the class's (a+, a-), so it is made once per (class, a+, a-).
     More than ENUMERATION_GUARD rows raise ParameterError.
