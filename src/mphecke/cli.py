@@ -101,8 +101,9 @@ def _json_default(x):
 # ---------------------------------------------------------------------------
 
 # The most points a rankone-verify grid may have.  The sweep runs one
-# quadratic_report per pair a >= b, about 13 ms each, so its work grows as
-# the square of the points: 140 points are 9 870 pairs, a few minutes.
+# quadratic_report per pair a >= b (about 13 ms each on a 2-core host), so
+# its work grows as the square of the points: 140 points are 9 870 pairs,
+# about two minutes.
 GRID_GUARD = 140
 
 
