@@ -12,7 +12,9 @@ that is the straightforward form of the same computation:
   ``_scaled``, ``_class_match``) against its ``Fraction`` form, which returns
   the seven values a record once stored, and the anchor choices
   (``_class_choices``) against their sorted square scan;
-* ``group_order`` (Schreier-Sims) against ``len(group_closure(...))``.
+* ``group_order`` (Schreier-Sims) against ``len(group_closure(...))``;
+* ``classify``'s component bases against the vectors written out by hand
+  per line, kept verbatim.
 """
 
 import dataclasses
@@ -657,3 +659,90 @@ def test_group_order_guard_is_the_closure_guard():
         group_order(_s3(), 3, guard=5)
     assert str(order_err.value) == str(closure_err.value) == "group closure exceeds guard"
     assert group_order(_s3(), 3, guard=6) == 6 == len(group_closure(_s3(), 3, guard=6))
+
+
+# ---------------------------------------------------------------------------
+# classify: component bases against the hand-built vectors
+# ---------------------------------------------------------------------------
+
+
+def _oracle_fvec(n, entries):
+    v = [0] * n
+    for i, c in entries.items():
+        v[i] = c
+    return tuple(v)
+
+
+def _oracle_components(bd):
+    """(line, label, base, slots) per component, each base vector written out by hand."""
+    n = bd.ambient_rank
+    offs, cur = [], 0
+    for line in bd.lines:
+        offs.append(cur)
+        cur += line.k
+    double = bd.h_rank == 0 and bd.ambient not in ("SO_odd", "U") and bd.ambient != "GL"
+    gl = bd.ambient == "GL"
+    comps = []
+    for i, line in enumerate(bd.lines):
+        off, k = offs[i], line.k
+        a = [_oracle_fvec(n, {off + j: 1, off + j + 1: -1}) for j in range(k - 1)]
+        boundary = _oracle_fvec(n, {off + k - 1: 2 if double else 1})
+        consult_tau = bd.ambient == "SO_even" and line.d % 2 == 1
+        if line.boundary_pole and not gl:
+            letter = "C" if double else "B"
+            if line.gl_singular:
+                comps.append((i, f"{letter}{k}", tuple(a) + (boundary,), tuple(range(off, off + k))))
+            else:
+                for j in range(k):
+                    comps.append((i, f"{letter}1", (_oracle_fvec(n, {off + j: 2 if double else 1}),),
+                                  (off + j,)))
+        elif line.self_dual_T and not gl and (line.tau_T or not consult_tau):
+            if line.gl_singular:
+                fork = _oracle_fvec(n, {off + k - 2: 1, off + k - 1: 1}) if k >= 2 else None
+                base = tuple(a) + (fork,) if k >= 2 else ()
+                comps.append((i, f"D{k}", base, tuple(range(off, off + k))))
+            else:
+                comps.append((i, "empty", (), tuple(range(off, off + k))))
+        else:
+            if line.gl_singular and k >= 2:
+                comps.append((i, f"A{k - 1}", tuple(a), tuple(range(off, off + k))))
+            else:
+                comps.append((i, "empty", (), tuple(range(off, off + k))))
+    return comps
+
+
+def _classify_fixtures():
+    L = blocks_mod.CuspidalLine
+    D = blocks_mod.BlockDescriptor
+    return [
+        D("Mp", 1, (L(1, 3, True, True, True),)),
+        D("Mp", 2, (L(1, 1, True, True, True),)),
+        D("Sp", 0, (L(1, 3, True, True, True),)),
+        D("SO_odd", 0, (L(1, 2, True, True, True),)),
+        D("Mp", 1, (L(1, 4, True, False, True),)),
+        D("Mp", 1, (L(1, 2, True, False, True),)),
+        D("Mp", 1, (L(1, 1, True, False, True),)),
+        D("Mp", 1, (L(1, 3, True, False, False),)),
+        D("Mp", 2, (L(1, 3, False, True, True),)),
+        D("Mp", 1, (L(1, 3, False, False, False),)),
+        D("GL", 0, (L(2, 3, True, False, False),)),
+        D("GL", 0, (L(2, 3, False, False, False),)),
+        D("Sp", 0, (L(1, 3, False, True, True),)),
+        D("SO_even", 2, (L(1, 2, True, False, True, False), L(2, 2, True, False, True, False))),
+        D("O_even", 0, (L(1, 2, True, False, True, True), L(1, 1, True, True, True))),
+        D("U", 0, (L(1, 2, True, True, True), L(3, 1, False, False, False))),
+        D("Mp", 2, (L(1, 3, True, True, True), L(1, 2, True, False, True))),
+    ]
+
+
+def test_classify_bases_match_the_hand_built_vectors():
+    rng = random.Random(20261022)
+    descriptors = _classify_fixtures()
+    for ambient in blocks_mod.AMBIENTS:
+        descriptors += [_random_descriptor(rng, ambient) for _ in range(110)]
+    labels = set()
+    for bd in descriptors:
+        got = [(c.line, c.label, c.base, c.slots) for c in blocks_mod.classify(bd).components]
+        assert got == _oracle_components(bd), bd
+        labels.update(label for _, label, _, _ in got)
+    assert {"A1", "B1", "B3", "C1", "C3", "D1", "D2", "D4", "empty"} <= labels
