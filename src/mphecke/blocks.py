@@ -26,7 +26,7 @@ from .rootdata import (
     Component,
     WeylElement,
     build_O_datum,
-    coroot_in_2Lambda,
+    component_base,
     group_order,
     parse_label,
 )
@@ -148,15 +148,8 @@ class ClassifiedBlock:
 
 
 # ---------------------------------------------------------------------------
-# helpers for the coordinate vectors
+# helpers for the coordinate slots
 # ---------------------------------------------------------------------------
-
-def _fvec(n: int, entries: dict[int, int]) -> tuple[int, ...]:
-    v = [0] * n
-    for i, c in entries.items():
-        v[i] = c
-    return tuple(v)
-
 
 def _line_offsets(bd: BlockDescriptor) -> list[int]:
     offs, cur = [], 0
@@ -193,31 +186,20 @@ def classify(bd: BlockDescriptor, extra_r_generators: Sequence[WeylElement] = ()
     comps: list[ClassifiedComponent] = []
     for i, line in enumerate(bd.lines):
         off, k = offs[i], line.k
-        a = [_fvec(n, {off + j: 1, off + j + 1: -1}) for j in range(k - 1)]
-        boundary = _fvec(n, {off + k - 1: 2 if double else 1})
+        slots = tuple(range(off, off + k))
         consult_tau = bd.ambient == "SO_even" and line.d % 2 == 1
         if line.boundary_pole and not gl:
             letter = "C" if double else "B"
             if line.gl_singular:
-                comps.append(ClassifiedComponent(
-                    i, f"{letter}{k}", tuple(a) + (boundary,), tuple(range(off, off + k))))
+                specs = [(f"{letter}{k}", slots)]
             else:
-                for j in range(k):
-                    comps.append(ClassifiedComponent(
-                        i, f"{letter}1", (_fvec(n, {off + j: 2 if double else 1}),),
-                        (off + j,)))
+                specs = [(f"{letter}1", (s,)) for s in slots]
         elif line.self_dual_T and not gl and (line.tau_T or not consult_tau):
-            if line.gl_singular:
-                fork = _fvec(n, {off + k - 2: 1, off + k - 1: 1}) if k >= 2 else None
-                base = tuple(a) + (fork,) if k >= 2 else ()
-                comps.append(ClassifiedComponent(i, f"D{k}", base, tuple(range(off, off + k))))
-            else:
-                comps.append(ClassifiedComponent(i, "empty", (), tuple(range(off, off + k))))
+            specs = [(f"D{k}" if line.gl_singular else "empty", slots)]
         else:
-            if line.gl_singular and k >= 2:
-                comps.append(ClassifiedComponent(i, f"A{k - 1}", tuple(a), tuple(range(off, off + k))))
-            else:
-                comps.append(ClassifiedComponent(i, "empty", (), tuple(range(off, off + k))))
+            specs = [(f"A{k - 1}" if line.gl_singular and k >= 2 else "empty", slots)]
+        comps.extend(ClassifiedComponent(i, label, component_base(label, s, n), s)
+                     for label, s in specs)
 
     w_o = 1
     for c in comps:
@@ -299,8 +281,7 @@ def _r_group_data(bd: BlockDescriptor, comps: Sequence[ClassifiedComponent],
 # Hecke parameters from a classified block
 # ---------------------------------------------------------------------------
 
-def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, Fraction]],
-                     t_per_line: Sequence[int] | None = None) -> HeckeParams:
+def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, Fraction]]) -> HeckeParams:
     """The Hecke parameters of a classified block; its R-group generators,
     which extend the algebra, are ``cb.r_generators``.
 
@@ -313,42 +294,29 @@ def hecke_from_block(cb: ClassifiedBlock, invariants: Sequence[tuple[Fraction, F
     R-group generator that carries a simple root to one with other
     parameters.
     """
-    bd = cb.descriptor
-    n = bd.ambient_rank
-    t_per_line = list(t_per_line) if t_per_line is not None else [1] * len(bd.lines)
-    comp_spec = []
-    for c in cb.components:
-        t = t_per_line[c.line]
-        comp_spec.append((c.label if c.label != "empty" else "empty", len(c.slots), t))
-    datum = build_O_datum(comp_spec, n)
-
-    flat: list[tuple[Fraction, Fraction]] = [(Fraction(a), Fraction(b)) for a, b in invariants]
+    datum = build_O_datum([(c.label, len(c.slots), 1) for c in cb.components],
+                          cb.descriptor.ambient_rank)
+    flat = [(Fraction(a), Fraction(b)) for a, b in invariants]
     if len(flat) != datum.num_simples():
         raise InvalidInvariants(
             f"need {datum.num_simples()} exponent pairs, got {len(flat)}")
 
     alpha_exp: list[Fraction] = []
     qi_exp: dict[int, Fraction] = {}
-    idx = 0
-    for ci, comp in enumerate(datum.components):
-        n_simples = sum(1 for r in datum.simple_roots() if any(r[s] for s in comp.slots))
-        for j in range(n_simples):
-            a, am = flat[idx]
-            idx += 1
+    pairs = iter(flat)
+    for ci, (c, comp) in enumerate(zip(cb.components, datum.components)):
+        for j in range(len(c.base)):
+            a, am = next(pairs)
             if not (a >= am >= 0):
                 raise InvalidInvariants("exponents must satisfy a_s >= a_{s,-} >= 0")
-            is_short_b = comp.letter == "B" and j == n_simples - 1
+            # at t = 1 the short root e_i of a type-B component has coroot 2 e_i in 2*Lambda^
+            is_short_b = comp.letter == "B" and j == len(c.base) - 1
             if am != 0 and not is_short_b:
                 raise InvalidInvariants(
                     "a_{s,-} != 0 is only allowed on the short root of a type-B component")
             alpha_exp.append(a + am)
             if is_short_b:
-                coroot = datum.simple_pairs()[len(alpha_exp) - 1][1]
-                if coroot_in_2Lambda(coroot):
-                    qi_exp[ci] = a - am
-                elif am != 0:
-                    raise InvalidInvariants(
-                        "short-root coroot is not in 2*Lambda^; cannot carry a_{s,-}")
+                qi_exp[ci] = a - am
     try:
         params = HeckeParams(datum, tuple(alpha_exp), qi_exp)  # conjugacy + q_i placement
     except InvalidParameters as e:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .laurent import GroupAlgebraElement, QLaurent
+from .laurent import GroupAlgebraElement, QLaurent, _int_vec
 from .rootdata import (
     WEYL_ENUM_GUARD,
     BasedRootDatum,
@@ -119,10 +119,9 @@ class HeckeParams:
 
     Construction also builds the per-simple table ``simples``: one
     :class:`SimpleCommutation` per simple root, in base order, holding the
-    integer root and coroot, the special flag, ``q_alpha`` and the factor of
-    the commutation rule.  :meth:`q_alpha`, :meth:`special_simple` and
-    :meth:`qi_for_simple` read from it.  Nothing in it depends on a lattice
-    vector.
+    integer root and coroot, the special flag, ``q_alpha``, ``q_i`` and the
+    factor of the commutation rule.  :meth:`q_alpha` reads from it.  Nothing
+    in it depends on a lattice vector.
     """
 
     datum: BasedRootDatum
@@ -190,15 +189,6 @@ class HeckeParams:
     def q_alpha(self, i: int) -> QLaurent:
         return self.simples[i].q_alpha
 
-    def special_simple(self, i: int) -> bool:
-        return self.simples[i].special
-
-    def qi_for_simple(self, i: int) -> Fraction:
-        qi = self.simples[i].qi
-        if qi is None:
-            raise ValueError(f"simple root {i} is not special and carries no q_i")
-        return qi
-
 
 # ---------------------------------------------------------------------------
 # The commutation rule
@@ -212,7 +202,7 @@ def commute_zu_ga(lam: Sequence[int], i: int, d: BasedRootDatum, p: HeckeParams)
     factor * Z_v has the terms c Z_{v + mu} for each c Z_mu of the factor.
     """
     rec = p.simples[i]
-    # lam may hold Fractions: pair it exactly, and cast to int only after
+    # lam may hold Fractions: pair it exactly, and make it an int vector only after
     n = sum(x * y for x, y in zip(lam, rec.coroot))
     if n % rec.coroot_den:
         raise ValueError(f"{lam} pairs non-integrally with the coroot of simple {i}")
@@ -223,12 +213,13 @@ def commute_zu_ga(lam: Sequence[int], i: int, d: BasedRootDatum, p: HeckeParams)
         if n % 2:
             raise ValueError("coroot in 2 Lambda^ forces even pairings; malformed lattice vector")
         n //= 2
+    lam = _int_vec(lam)
     beta = rec.beta
     ks = range(n) if n > 0 else range(n, 0)
     t: dict[tuple[int, ...], QLaurent] = {}
     # the factor's shifts, 0 and -alpha, differ mod beta = 2 alpha: no keys collide
     for mu, c in (rec.factor if n > 0 else rec.neg_factor)._t.items():
-        v = tuple(int(x) + y for x, y in zip(lam, mu))
+        v = tuple(x + y for x, y in zip(lam, mu))
         for k in ks:
             t[tuple(x - k * y for x, y in zip(v, beta))] = c
     return GroupAlgebraElement._trusted(d.rank, t)
@@ -239,16 +230,25 @@ def commute_zu_ga(lam: Sequence[int], i: int, d: BasedRootDatum, p: HeckeParams)
 # ---------------------------------------------------------------------------
 
 class HeckeElement:
-    """Normal-form element ``sum_w b_w U_w`` with b_w in the lattice algebra."""
+    """Normal-form element ``sum_w b_w U_w`` with b_w in the lattice algebra.
 
-    __slots__ = ("datum", "params", "_t")
+    The algebra is ``params``; ``datum`` is ``params.datum``, and a
+    constructor given another datum raises ValueError.
+    """
+
+    __slots__ = ("params", "_t")
 
     def __init__(self, datum: BasedRootDatum, params: HeckeParams,
                  terms: Mapping[WeylElement, GroupAlgebraElement] | None = None):
+        if datum is not params.datum and datum != params.datum:
+            raise ValueError("datum mismatch: the parameters were validated on another datum")
         t = {w: b for w, b in terms.items() if not b.is_zero()} if terms else {}
-        object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_t", t)
+
+    @property
+    def datum(self) -> BasedRootDatum:
+        return self.params.datum
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("HeckeElement is immutable")
@@ -265,8 +265,7 @@ class HeckeElement:
 
     @classmethod
     def from_z(cls, d, p, lam: Sequence[int], coeff: QLaurent | None = None) -> "HeckeElement":
-        ga = GroupAlgebraElement.monomial(tuple(int(x) for x in lam),
-                                          coeff or QLaurent.one())
+        ga = GroupAlgebraElement.monomial(lam, coeff or QLaurent.one())
         return cls(d, p, {WeylElement.identity(d.rank): ga})
 
     @classmethod
@@ -286,10 +285,8 @@ class HeckeElement:
         return not self._t
 
     def _check(self, o: "HeckeElement"):
-        if self.datum is not o.datum and self.datum != o.datum:
-            raise ValueError("datum mismatch")
         if self.params is not o.params and self.params != o.params:
-            raise ValueError("parameter mismatch")
+            raise ValueError("datum mismatch" if self.datum != o.datum else "parameter mismatch")
 
     def __add__(self, o: "HeckeElement") -> "HeckeElement":
         self._check(o)
@@ -312,7 +309,6 @@ class HeckeElement:
 
     def __eq__(self, o) -> bool:
         return (isinstance(o, HeckeElement)
-                and (self.datum is o.datum or self.datum == o.datum)
                 and (self.params is o.params or self.params == o.params)
                 and self._t == o._t)
 
@@ -431,12 +427,17 @@ class Cocycle:
 
 
 class ExtendedHeckeElement:
-    """Element ``sum_r h_r J_r`` of the twisted semidirect product."""
+    """Element ``sum_r h_r J_r`` of the twisted semidirect product.
 
-    __slots__ = ("datum", "params", "cocycle", "_t")
+    As for :class:`HeckeElement`, ``datum`` is ``params.datum``.
+    """
+
+    __slots__ = ("params", "cocycle", "_t")
 
     def __init__(self, datum: BasedRootDatum, params: HeckeParams, cocycle: Cocycle,
                  terms: Mapping[WeylElement, HeckeElement] | None = None):
+        if datum is not params.datum and datum != params.datum:
+            raise ValueError("datum mismatch: the parameters were validated on another datum")
         for r in cocycle.group:
             for root, _ in datum.pos_roots:
                 if datum.root_sign(r.act(root)) != 1:
@@ -445,12 +446,15 @@ class ExtendedHeckeElement:
         terms = terms or {}
         if any(r not in cocycle.group for r in terms):
             raise ValueError("term index outside the stored R-group")
-        object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "cocycle", cocycle)
         for h in terms.values():
-            h._check(self)   # every term lies in this algebra; _check reads .datum and .params
+            h._check(self)   # every term lies in this algebra; _check reads .params
         object.__setattr__(self, "_t", {r: h for r, h in terms.items() if not h.is_zero()})
+
+    @property
+    def datum(self) -> BasedRootDatum:
+        return self.params.datum
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ExtendedHeckeElement is immutable")
@@ -472,7 +476,6 @@ class ExtendedHeckeElement:
 
     def __eq__(self, o):
         return (isinstance(o, ExtendedHeckeElement)
-                and (self.datum is o.datum or self.datum == o.datum)
                 and (self.params is o.params or self.params == o.params)
                 and self.cocycle == o.cocycle and self._t == o._t)
 
@@ -491,7 +494,7 @@ class ExtendedHeckeElement:
         return self + (-o)
 
     def _compat(self, o: "ExtendedHeckeElement"):
-        if self.datum != o.datum or self.cocycle != o.cocycle:
+        if (self.params is not o.params and self.params != o.params) or self.cocycle != o.cocycle:
             raise ValueError("incompatible extended algebra data")
 
     def __repr__(self):

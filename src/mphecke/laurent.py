@@ -42,6 +42,25 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _as_int(x) -> int:
+    """``x`` as an exponent or lattice coordinate; a float, or a value that is
+    not equal to its ``int``, raises ValueError instead of being truncated."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float) or int(x) != x:
+        raise ValueError(f"{x!r} is not an exact integer")
+    return int(x)
+
+
+def _int_vec(vec: Iterable) -> tuple[int, ...]:
+    """``vec`` as an int tuple, each entry through :func:`_as_int`."""
+    vec = tuple(vec)
+    for x in vec:
+        if type(x) is not int:
+            return tuple(map(_as_int, vec))
+    return vec
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials in u over Q
 # ---------------------------------------------------------------------------
@@ -66,11 +85,11 @@ class QLaurent:
         c: dict[int, Fraction] = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = _as_fraction(v)
+                k, v = _as_int(k), _as_fraction(v)
                 if v:
-                    c[int(k)] = c.get(int(k), Fraction(0)) + v
-                    if not c[int(k)]:
-                        del c[int(k)]
+                    c[k] = c.get(k, Fraction(0)) + v
+                    if not c[k]:
+                        del c[k]
         # the lcm of reduced denominators is already coprime to the numerators
         d = lcm(*(v.denominator for v in c.values()))
         object.__setattr__(self, "_c", {k: v.numerator * (d // v.denominator) for k, v in c.items()})
@@ -119,7 +138,7 @@ class QLaurent:
 
     @classmethod
     def u_power(cls, k: int, coeff=1) -> "QLaurent":
-        return cls({int(k): _as_fraction(coeff)})
+        return cls({k: coeff})
 
     @classmethod
     def q_power(cls, e) -> "QLaurent":
@@ -395,7 +414,7 @@ class GroupAlgebraElement:
         t: dict[tuple[int, ...], QLaurent] = {}
         if terms:
             for vec, c in terms.items():
-                vec = tuple(int(x) for x in vec)
+                vec = _int_vec(vec)
                 if len(vec) != rank:
                     raise ValueError(f"term key {vec} has length != rank {rank}")
                 if not c.is_zero():
@@ -435,7 +454,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def monomial(cls, vec: Sequence[int], coeff: QLaurent | None = None) -> "GroupAlgebraElement":
-        vec = tuple(int(x) for x in vec)
+        vec = _int_vec(vec)
         return cls(len(vec), {vec: QLaurent.one() if coeff is None else coeff})
 
     @classmethod
@@ -458,7 +477,7 @@ class GroupAlgebraElement:
         return vec, self._t[vec]
 
     def coeff(self, vec: Sequence[int]) -> QLaurent:
-        return self._t.get(tuple(int(x) for x in vec), QLaurent.zero())
+        return self._t.get(_int_vec(vec), QLaurent.zero())
 
     # -- ring operations ----------------------------------------------------
 
@@ -501,10 +520,10 @@ class GroupAlgebraElement:
 
     def apply_lattice_map(self, f) -> "GroupAlgebraElement":
         """Push exponents through an injective lattice map ``f``."""
-        return GroupAlgebraElement._trusted(self.rank, {tuple(int(x) for x in f(v)): c for v, c in self._t.items()})
+        return GroupAlgebraElement._trusted(self.rank, {_int_vec(f(v)): c for v, c in self._t.items()})
 
     def shift(self, vec: Sequence[int]) -> "GroupAlgebraElement":
-        vec = tuple(int(x) for x in vec)
+        vec = _int_vec(vec)
         if len(vec) != self.rank:
             raise ValueError(f"shift {vec} has length != rank {self.rank}")
         return GroupAlgebraElement._trusted(self.rank, {tuple(a + b for a, b in zip(v, vec)): c
@@ -613,7 +632,9 @@ class RationalFunction:
     constructor keeps the pair it is given, so it takes only pairs that
     are already canonical (as the rank-one ``mu`` and its inverse are by
     construction); ``==`` and ``__hash__`` rely on that and compare the
-    pairs.
+    pairs.  It checks the units: a denominator whose lattice valuation is
+    not 0, or whose leading X-coefficient is not monic of u-valuation 0,
+    raises ValueError.  That the pair is reduced is not checked.
 
     The operators never normalise a raw cross pair.  Their operands are
     reduced, so ``*`` cancels each numerator only against the other
@@ -630,6 +651,11 @@ class RationalFunction:
         _check_rank1(num, den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        if min(v[0] for v in den._t) != 0:
+            raise ValueError("the denominator must have lattice valuation 0")
+        _, lead = den.leading()
+        if lead.valuation() != 0 or lead.leading_coeff() != 1:
+            raise ValueError("the leading denominator coefficient must be monic of valuation 0")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -637,16 +663,24 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
+    def _trusted(cls, num: GroupAlgebraElement, den: GroupAlgebraElement) -> "RationalFunction":
+        """Wrap a canonical pair as it is, for the operations whose results have that form."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
+    @classmethod
     def from_ga(cls, num: GroupAlgebraElement) -> "RationalFunction":
         return rf_normalize(num, GroupAlgebraElement.one(1))
 
     @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls(GroupAlgebraElement.zero(1), GroupAlgebraElement.one(1))
+        return cls._trusted(GroupAlgebraElement.zero(1), GroupAlgebraElement.one(1))
 
     @classmethod
     def one(cls) -> "RationalFunction":
-        return cls(GroupAlgebraElement.one(1), GroupAlgebraElement.one(1))
+        return cls._trusted(GroupAlgebraElement.one(1), GroupAlgebraElement.one(1))
 
     @classmethod
     def const(cls, c: QLaurent) -> "RationalFunction":
@@ -677,7 +711,7 @@ class RationalFunction:
         return self + (-o)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._trusted(-self.num, self.den)
 
     def __mul__(self, o: "RationalFunction") -> "RationalFunction":
         if self.is_zero() or o.is_zero():
@@ -818,4 +852,4 @@ def _fix_units(num: GroupAlgebraElement, den: GroupAlgebraElement) -> RationalFu
     unit = QLaurent.u_power(-lead.valuation(), 1 / lead.leading_coeff())
     num = num.scale(unit)
     den = den.scale(unit)
-    return RationalFunction(num, den)
+    return RationalFunction._trusted(num, den)

@@ -321,10 +321,6 @@ class SChoice:
                 return ap, am, mg
         raise KeyError(label)
 
-    def anchors(self) -> dict[str, tuple[int, int]]:
-        """label -> (a+, a-)."""
-        return {l: (ap, am) for l, ap, am, _ in self.entries}
-
     def to_json(self) -> list:
         return [[l, ap, am, mg] for l, ap, am, mg in self.entries]
 
@@ -354,15 +350,10 @@ def _anchor_choices(p0: NormedParameter) -> Choices:
     return [(c, _class_choices(c, p0.m(c.label))) for c in p0.self_dual_support()]
 
 
-def enumerate_S(p0: NormedParameter, choices: Choices | None = None) -> list[SChoice]:
+def enumerate_S(p0: NormedParameter) -> list[SChoice]:
     """All anchor choices: per self-dual class every (a+, a-, m_gl) solving
-    the size-parity identity, combined multiplicatively across classes.
-
-    ``choices`` is :func:`_anchor_choices` of ``p0``, if the caller has it;
-    here and in the counts below it saves building it again.
-    """
-    choices = _anchor_choices(p0) if choices is None else choices
-    per_class = [[(c.label,) + triple for triple in triples] for c, triples in choices]
+    the size-parity identity, combined multiplicatively across classes."""
+    per_class = [[(c.label,) + triple for triple in triples] for c, triples in _anchor_choices(p0)]
     return [SChoice(tuple(combo)) for combo in itertools.product(*per_class)]
 
 
@@ -623,23 +614,25 @@ def verify_match(p0: NormedParameter) -> dict:
     class that is not self-dual are matched by definition: its GL factor
     has no independent formula to be compared with.  Mismatches are
     reported, never raised.  A class's comparison depends on S only
-    through the class's (a+, a-), so it is made once per (class, a+, a-).
-    More than ENUMERATION_GUARD rows raise ParameterError.
+    through the class's (a+, a-), so, as in :func:`enumerate_blocks`, it is
+    made once per choice of each self-dual class and once per other class,
+    and the rows walk the product of these per-class factors.  More than
+    ENUMERATION_GUARD rows raise ParameterError.
     """
     choices = _anchor_choices(p0)
     _guard(count_match_rows(p0, choices), "match rows")
+    support = p0.support()
+    fixed = {c.label: _class_match(p0, SChoice(()), c) for c in support if not c.self_dual}
+    factors = [[(entry, _class_match(p0, SChoice((entry,)), c))
+                for entry in ((c.label,) + triple for triple in triples)]
+               for c, triples in choices]
     rows = []
     mismatches = 0
-    found: dict[tuple, tuple[str, bool, bool]] = {}
-    support = p0.support()
-    for S in enumerate_S(p0, choices):
-        s_json = S.to_json()
-        anchors = S.anchors()
+    for options in itertools.product(*factors):
+        s_json = [list(entry) for entry, _ in options]
+        found = {**fixed, **{entry[0]: match for entry, match in options}}
         for cls in support:
-            key = (cls.label, anchors.get(cls.label))
-            if key not in found:
-                found[key] = _class_match(p0, S, cls)
-            group, matched, swapped = found[key]
+            group, matched, swapped = found[cls.label]
             rows.append({"S": s_json, "class": cls.label, "group": group,
                          "matched": matched, "swapped": swapped})
             mismatches += 0 if matched else 1
@@ -728,30 +721,20 @@ def weil_example(n: int) -> dict:
         raise ParameterError("n must be >= 1")
     p0 = NormedParameter(n, (TRIVIAL_CLASS,), (("1", 2 * n),))
 
-    s_plus = SChoice((("1", 0, 0, n),))
-    even = hecke_for_block(p0, s_plus, TRIVIAL_CLASS)
-    s_minus = SChoice((("1", 1, 0, n - 1),))
-    odd = hecke_for_block(p0, s_minus, TRIVIAL_CLASS)
-
-    even_reference = ", ".join(["q"] * n) + "; q^0"
-    odd_reference = ", ".join(["q"] * (n - 1)) + "; q^2" if n >= 2 else "; q^2"
+    def block(entry: tuple, reference: str) -> dict:
+        S = SChoice((entry,))
+        pres = hecke_for_block(p0, S, TRIVIAL_CLASS)
+        return {
+            "S": S.to_json(),
+            "epsilon_Z": _class_chars(TRIVIAL_CLASS, entry[1], entry[2])[0][1],
+            "presentation": pres.to_json(),
+            "display": pres.display(),
+            "reference_display": reference,
+            "display_matches_reference": pres.display() == reference,
+        }
 
     return {
         "schema": "v1",
-        "even": {
-            "S": s_plus.to_json(),
-            "epsilon_Z": _class_chars(TRIVIAL_CLASS, 0, 0)[0][1],
-            "presentation": even.to_json(),
-            "display": even.display(),
-            "reference_display": even_reference,
-            "display_matches_reference": even.display() == even_reference,
-        },
-        "odd": {
-            "S": s_minus.to_json(),
-            "epsilon_Z": _class_chars(TRIVIAL_CLASS, 1, 0)[0][1],
-            "presentation": odd.to_json(),
-            "display": odd.display(),
-            "reference_display": odd_reference,
-            "display_matches_reference": odd.display() == odd_reference,
-        },
+        "even": block(("1", 0, 0, n), ", ".join(["q"] * n) + "; q^0"),
+        "odd": block(("1", 1, 0, n - 1), ", ".join(["q"] * (n - 1)) + "; q^2"),
     }

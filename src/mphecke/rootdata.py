@@ -315,6 +315,16 @@ def parse_label(label: str) -> tuple[str, int]:
     return letter, int(label[1:])
 
 
+def component_base(label: str, slots: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """The simple roots, in base order, of one unscaled (t = 1) component
+    with type ``label`` on ``slots`` of Z^n; a C component keeps its long root 2 e_i."""
+    letter, k = parse_label(label)
+    pos: list = []
+    base: list[int] = []
+    _emit_component(pos, base, letter, k, 1, slots, n)
+    return tuple(pos[i][0] for i in base)
+
+
 def _emit_component(pos, base, letter, k, t, slots, n):
     """Append one component's positive (root, coroot) pairs to ``pos`` and its base to ``base``.
 

@@ -131,7 +131,7 @@ def test_criterion_2_hecke_presentation():
     both_coroot_cases = {True: False, False: False}
     for name, d, p in _test_data():
         for i in range(d.num_simples()):
-            both_coroot_cases[p.special_simple(i)] = True
+            both_coroot_cases[p.simples[i].special] = True
         one = HeckeElement.one(d, p)
         for i in range(d.num_simples()):
             u = HeckeElement.u_simple(d, p, i)

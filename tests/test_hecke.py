@@ -161,6 +161,18 @@ def test_commute_zu_special_branch_negative_and_long_sums():
     assert commute_zu_ga((1, -2), 1, d, p) == expected
 
 
+def test_non_lattice_vectors_are_rejected_not_truncated():
+    # (3/2, 1/2) pairs integrally with the coroot e_1 - e_2 of GL_2
+    d, p = gl2()
+    lam = (F(3, 2), F(1, 2))
+    with pytest.raises(ValueError, match="not an exact integer"):
+        HeckeElement.from_z(d, p, lam)
+    with pytest.raises(ValueError, match="not an exact integer"):
+        commute_zu_ga(lam, 0, d, p)
+    assert commute_zu_ga((F(2), F(0)), 0, d, p) == commute_zu_ga((2, 0), 0, d, p)
+    assert HeckeElement.from_z(d, p, (F(2), 0)) == HeckeElement.from_z(d, p, (2, 0))
+
+
 def _commute_by_division(lam, i, d, p):
     """Z_lam U_s - U_s Z_{s lam} by the long division that the closed form replaced."""
     root, coroot = d.simple_pairs()[i]
@@ -170,17 +182,16 @@ def _commute_by_division(lam, i, d, p):
     n = int(n)
     if n == 0:
         return GA.zero(d.rank)
+    if p.simples[i].special and n % 2:
+        raise ValueError("coroot in 2 Lambda^ forces even pairings; malformed lattice vector")
     alpha = tuple(int(x) for x in root)
-    lam = tuple(int(x) for x in lam)
     slam = tuple(a - n * b for a, b in zip(lam, alpha))
     diff = GA.monomial(lam) - GA.monomial(slam)
     one = QLaurent.one()
-    if not p.special_simple(i):
+    if not p.simples[i].special:
         den = GA.one(d.rank) - GA.monomial(tuple(-x for x in alpha))
         return diff.exact_div(den).scale(p.q_alpha(i) - one)
-    if n % 2:
-        raise ValueError("coroot in 2 Lambda^ forces even pairings; malformed lattice vector")
-    a, b = p.alpha_exp[i], p.qi_for_simple(i)
+    a, b = p.alpha_exp[i], p.simples[i].qi
     factor = GA.const(d.rank, p.q_alpha(i) - one) + \
         GA.monomial(tuple(-x for x in alpha), q((a + b) / 2) - q((a - b) / 2))
     den = GA.one(d.rank) - GA.monomial(tuple(-2 * x for x in alpha))
@@ -203,7 +214,8 @@ def test_commute_zu_matches_the_division_formula(spec):
     """Every lam in [-3, 3]^rank, every simple root, a(alpha) in {0, 1, 3/2}.
 
     q_i in {0, 1/2} where the datum needs one.  Lattice vectors with a half
-    in the last slot reach the odd-pairing error of the 2 Lambda^ branch.
+    in the last slot reach the odd-pairing error of the 2 Lambda^ branch,
+    and, where they pair integrally, the non-integer-coordinate error.
     """
     if isinstance(spec, tuple):
         d, _ = classical_datum(*spec)
@@ -255,9 +267,8 @@ def test_simple_table_matches_the_exponents():
             assert rec.q_alpha_minus_1 == q(p.alpha_exp[i]) - QLaurent.one()
             assert rec.neg_factor == -rec.factor
     _, p = b2()
-    assert p.qi_for_simple(1) == F(1, 2)
-    with pytest.raises(ValueError):
-        p.qi_for_simple(0)
+    assert p.simples[1].qi == F(1, 2)
+    assert p.simples[0].qi is None
 
 
 # -- products ----------------------------------------------------------------------
@@ -469,6 +480,26 @@ def test_ext_rejects_a_term_from_another_algebra():
     # an equal parameter set built apart is the same algebra
     x = ExtendedHeckeElement(d, p, coc, {flip: HeckeElement.one(d, HeckeParams(d, (F(1), F(1))))})
     assert x == ExtendedHeckeElement.j_r(d, p, coc, flip)
+
+
+def test_elements_reject_parameters_validated_on_another_datum():
+    d2, _ = classical_datum("SO_even", 4)   # D2: both simple roots long
+    _, p = b2()
+    coc = Cocycle([WeylElement.identity(2)])
+    for build in (lambda: HeckeElement.zero(d2, p), lambda: HeckeElement.one(d2, p),
+                  lambda: HeckeElement.u_simple(d2, p, 1),
+                  lambda: HeckeElement.from_z(d2, p, (1, 0)),
+                  lambda: ExtendedHeckeElement(d2, p, coc),
+                  lambda: ExtendedHeckeElement.j_r(d2, p, coc, WeylElement.identity(2))):
+        with pytest.raises(ValueError, match="datum mismatch"):
+            build()
+    # an equal datum built apart is the one the parameters hold
+    b2_again, _ = classical_datum("SO_odd", 5)
+    u = HeckeElement.u_simple(b2_again, p, 1)
+    assert u.datum is p.datum
+    assert he_mul(u + HeckeElement.one(b2_again, p),
+                  u - HeckeElement.one(b2_again, p).scale(p.q_alpha(1))).is_zero()
+    assert ExtendedHeckeElement(b2_again, p, coc).datum is p.datum
 
 
 def test_nontrivial_cocycle_validated_and_used():

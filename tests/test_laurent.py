@@ -15,6 +15,7 @@ from mphecke.laurent import (
     _coprime_at_a_point,
     rf_normalize,
 )
+from mphecke.rankone import mu_build
 
 GA = GroupAlgebraElement
 
@@ -60,6 +61,25 @@ def test_q_power_requires_quarter_integer():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         QLaurent({0: 0.5})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QLaurent.u_power(1.5),
+    lambda: QLaurent.u_power(Fraction(1, 2)),
+    lambda: QLaurent({2.7: 3}),
+    lambda: QLaurent({2.0: 3}),
+    lambda: QLaurent({Fraction(1, 2): 1}),
+    lambda: QLaurent({Fraction(1, 2): 0}),
+], ids=["u_power-float", "u_power-half", "key-float", "key-integral-float", "key-half",
+        "key-half-zero-coeff"])
+def test_non_integer_exponents_are_rejected_not_truncated(build):
+    with pytest.raises(ValueError, match="not an exact integer"):
+        build()
+
+
+def test_integral_exponents_of_any_exact_type_are_kept():
+    assert QLaurent({Fraction(4, 2): 3, True: 1}) == QLaurent({2: 3, 1: 1})
+    assert QLaurent.u_power(Fraction(-6, 3)) == QLaurent({-2: 1})
 
 
 @given(qlaurents, qlaurents, qlaurents)
@@ -331,6 +351,28 @@ def test_equal_values_from_different_routes_are_equal_with_equal_hashes():
 
 # -- GroupAlgebraElement -----------------------------------------------------
 
+@pytest.mark.parametrize("build", [
+    lambda: GA.monomial((Fraction(3, 2), 0)),
+    lambda: GA.monomial((1.9, 0)),
+    lambda: GA.monomial((1.0, 0)),
+    lambda: GA(2, {(Fraction(1, 2), 0): QLaurent.one()}),
+    lambda: GA.one(2).coeff((Fraction(1, 2), 0)),
+    lambda: GA.one(2).shift((0, 0.5)),
+    lambda: GA.monomial((1, 1)).apply_lattice_map(lambda v: tuple(Fraction(x, 2) for x in v)),
+], ids=["monomial-half", "monomial-float", "monomial-integral-float", "constructor", "coeff",
+        "shift", "apply_lattice_map"])
+def test_non_integer_lattice_coordinates_are_rejected_not_truncated(build):
+    with pytest.raises(ValueError, match="not an exact integer"):
+        build()
+
+
+def test_integral_lattice_coordinates_of_any_exact_type_are_kept():
+    z = GA.monomial((Fraction(4, 2), -1))
+    assert z == GA.monomial((2, -1))
+    assert z.coeff((Fraction(2), Fraction(-1))) == QLaurent.one()
+    assert z.shift((Fraction(-2), 1)) == GA.one(2)
+
+
 def test_ga_mul_monomials():
     assert GA.monomial((1, 0)) * GA.monomial((0, 1)) == GA.monomial((1, 1))
 
@@ -412,6 +454,21 @@ def test_ga_json_roundtrip():
 
 
 # -- RationalFunction ---------------------------------------------------------
+
+def test_raw_constructor_rejects_unnormalised_units():
+    inv = mu_build(2, 1).inverse
+    assert RationalFunction(inv.num, inv.den) == inv
+    two = QLaurent.const(2)
+    with pytest.raises(ValueError, match="monic"):
+        RationalFunction(inv.num.scale(two), inv.den.scale(two))
+    with pytest.raises(ValueError, match="monic"):
+        RationalFunction(inv.num.scale(q(1)), inv.den.scale(q(1)))
+    with pytest.raises(ValueError, match="lattice valuation"):
+        RationalFunction(inv.num.shift((1,)), inv.den.shift((1,)))
+    # each of them is the canonical value once normalised
+    assert rf_normalize(inv.num.scale(two), inv.den.scale(two)) == inv
+    assert rf_normalize(inv.num.shift((1,)), inv.den.shift((1,))) == inv
+
 
 def x_poly(coeffs):
     return GA(1, {(k,): v for k, v in coeffs.items()})

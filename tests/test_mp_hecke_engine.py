@@ -91,7 +91,7 @@ def test_so_odd_presentation_is_associative_with_lattice_parts(pres):
     # the short simple root of B_r has coroot 2 e_r, so pushing Z_lam
     # through its U_s runs the q_i branch of the commutation rule
     d, p = as_hecke_params(pres)
-    assert p.special_simple(d.num_simples() - 1)
+    assert p.simples[d.num_simples() - 1].special
     rng = random.Random(f"{pres.display()}:{pres.scale}")
     for _ in range(3):
         x, y, z = (_random_element(rng, d, p) for _ in range(3))
